@@ -24,7 +24,9 @@
 #include "accel/filters.hpp"
 #include "bench_util.hpp"
 #include "bitstream/generator.hpp"
+#include "common/bytes.hpp"
 #include "common/rng.hpp"
+#include "fabric/frame_ecc.hpp"
 #include "icap/icap.hpp"
 #include "mem/ddr.hpp"
 #include "obs/export.hpp"
@@ -132,6 +134,26 @@ void BM_ConfigCrc(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * 4);
 }
 BENCHMARK(BM_ConfigCrc);
+
+void BM_Crc32(benchmark::State& state) {
+  const auto dev = fabric::DeviceGeometry::kintex7_325t();
+  const auto pbit = bitstream::generate_partial_bitstream(
+      dev, fabric::case_study_partition(dev), {1, "sobel"});
+  for (auto _ : state) benchmark::DoNotOptimize(crc32(pbit));
+  state.SetBytesProcessed(state.iterations() * pbit.size());
+}
+BENCHMARK(BM_Crc32);
+
+void BM_FrameEcc(benchmark::State& state) {
+  SplitMix64 rng(0xECC);
+  std::vector<u32> frame(101);
+  for (u32& w : frame) w = static_cast<u32>(rng.next());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fabric::compute_frame_ecc(frame));
+  }
+  state.SetBytesProcessed(state.iterations() * frame.size() * 4);
+}
+BENCHMARK(BM_FrameEcc);
 
 void BM_SplitMix64(benchmark::State& state) {
   SplitMix64 rng(1);

@@ -20,6 +20,8 @@
 // Perfetto-loadable Chrome trace (default net_trace.json) whose Net
 // track carries the frame/retry/breaker/cache events; CI lints it with
 // `trace-lint --require=Net`.
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -51,6 +53,40 @@ struct Cell {
   u32 requests = 0;
 };
 
+// The net source with a stopwatch: every successful fetch's latency on
+// the simulated clock becomes one T_fetch sample, so the percentiles
+// are exact nearest-rank values rather than log2-bucket estimates.
+class TimedNetSource : public driver::NetBitstreamSource {
+ public:
+  TimedNetSource(cpu::CpuContext& cpu, net::NetFetcher& fetcher)
+      : NetBitstreamSource(fetcher), cpu_(cpu) {}
+
+  Status fetch(std::string_view image, Addr dest, u32 capacity,
+               u32* bytes_out) override {
+    const Cycles t0 = cpu_.now();
+    const Status st =
+        NetBitstreamSource::fetch(image, dest, capacity, bytes_out);
+    if (ok(st)) samples_.push_back(cpu_.now() - t0);
+    return st;
+  }
+
+  const std::vector<Cycles>& samples() const { return samples_; }
+
+ private:
+  cpu::CpuContext& cpu_;
+  std::vector<Cycles> samples_;
+};
+
+/// Nearest-rank quantile: the smallest sample x with at least
+/// ceil(p * n) samples <= x; 0 for an empty set.
+Cycles nearest_rank(std::vector<Cycles> v, double p) {
+  if (v.empty()) return 0;
+  std::sort(v.begin(), v.end());
+  const auto rank = static_cast<usize>(
+      std::ceil(p * static_cast<double>(v.size()) - 1e-9));
+  return v[std::clamp<usize>(rank, 1, v.size()) - 1];
+}
+
 struct CellResult {
   u32 offered = 0;
   u64 accepted = 0;
@@ -67,7 +103,7 @@ struct CellResult {
   u64 delivery_failures = 0;
   u64 breaker_trips = 0;
   double success_rate = 1.0;  // fetches_ok / attempted fetches
-  double p50_fetch_kcyc = 0;  // successful-fetch latency percentiles
+  double p50_fetch_kcyc = 0;  // nearest-rank successful-fetch latency
   double p99_fetch_kcyc = 0;
   bool all_terminal = true;
 };
@@ -96,7 +132,7 @@ CellResult run_cell(const Cell& cell, u64 seed,
     fcfg.breaker_cooldown = 20'000;
   }
   net::NetFetcher fetcher(soc.cpu(), soc.net_link(), fcfg);
-  driver::NetBitstreamSource net_src(fetcher);
+  TimedNetSource net_src(soc.cpu(), fetcher);
   driver::BitstreamCache::Config ccfg;
   ccfg.base = 0x8E00'0000;  // clear of the manager's staging slots
   driver::BitstreamCache cache(soc.cpu(), ccfg);
@@ -173,18 +209,10 @@ CellResult run_cell(const Cell& cell, u64 seed,
           ? 1.0
           : static_cast<double>(r.fetches_ok) / static_cast<double>(attempted);
 
-  const auto& counters = soc.sim().obs().counters();
-  const usize hi = [&] {
-    for (usize i = 0; i < counters.histogram_count(); ++i) {
-      if (counters.histogram_name(i) == "net.fetch.cycles") return i;
-    }
-    return counters.histogram_count();
-  }();
-  if (hi < counters.histogram_count()) {
-    const obs::Histogram& h = counters.histogram_at(hi);
-    r.p50_fetch_kcyc = static_cast<double>(h.percentile(0.50)) / 1000.0;
-    r.p99_fetch_kcyc = static_cast<double>(h.percentile(0.99)) / 1000.0;
-  }
+  r.p50_fetch_kcyc =
+      static_cast<double>(nearest_rank(net_src.samples(), 0.50)) / 1000.0;
+  r.p99_fetch_kcyc =
+      static_cast<double>(nearest_rank(net_src.samples(), 0.99)) / 1000.0;
 
   // Every accepted request must have reached exactly one terminal state.
   for (const auto& rec : svc.history()) {

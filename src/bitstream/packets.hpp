@@ -6,6 +6,8 @@
 // detection words, and NOPs are the framing around them.
 #pragma once
 
+#include <array>
+
 #include "common/types.hpp"
 
 namespace rvcap::bitstream {
@@ -76,25 +78,64 @@ constexpr PacketHeader decode_packet(u32 word) {
   return h;
 }
 
+namespace detail {
+
+inline constexpr u32 kConfigCrcPoly = 0x1EDC6F41;
+
+/// MSB-first CRC step tables: entry i is the register after shifting
+/// `Bits` zero message bits through an LFSR that starts at i << (32-Bits).
+/// kConfigCrcByte[s] additionally advances by 8*s more zero bits, so a
+/// whole data word folds in with four independent lookups (slice-by-4).
+template <unsigned Bits>
+constexpr std::array<u32, (1u << Bits)> make_config_crc_table() {
+  std::array<u32, (1u << Bits)> t{};
+  for (u32 i = 0; i < t.size(); ++i) {
+    u32 c = i << (32 - Bits);
+    for (unsigned k = 0; k < Bits; ++k) {
+      c = (c << 1) ^ (kConfigCrcPoly & (0u - (c >> 31)));
+    }
+    t[i] = c;
+  }
+  return t;
+}
+
+constexpr std::array<std::array<u32, 256>, 4> make_config_crc_byte_tables() {
+  std::array<std::array<u32, 256>, 4> t{};
+  t[0] = make_config_crc_table<8>();
+  for (usize s = 1; s < 4; ++s) {
+    for (u32 i = 0; i < 256; ++i) {
+      t[s][i] = (t[s - 1][i] << 8) ^ t[0][t[s - 1][i] >> 24];
+    }
+  }
+  return t;
+}
+
+inline constexpr auto kConfigCrcAddr = make_config_crc_table<5>();
+inline constexpr auto kConfigCrcByte = make_config_crc_byte_tables();
+
+}  // namespace detail
+
 /// Running configuration CRC over (register, word) write pairs.
 ///
 /// The 7-series device folds the 5-bit register address and 32-bit data
 /// into a CRC-32C-style LFSR; this model uses the same structure (37-bit
 /// message per write, poly 0x1EDC6F41, MSB-first). Bit-exact identity
 /// with silicon is not required — only that the writer and the ICAP
-/// model agree, which tests assert.
+/// model agree, which tests assert. update() is table-driven (one
+/// 32-entry step for the address bits, then the data word slice-by-4)
+/// and equals the 37-iteration bit-serial LFSR the tests keep as a
+/// reference.
 class ConfigCrc {
  public:
   void reset() { crc_ = 0; }
 
   void update(u32 reg, u32 word) {
-    const u64 msg = (u64{reg & 0x1F} << 32) | word;
-    for (int i = 36; i >= 0; --i) {
-      const u32 bit = static_cast<u32>((msg >> i) & 1);
-      const u32 top = (crc_ >> 31) & 1;
-      crc_ <<= 1;
-      if (bit ^ top) crc_ ^= 0x1EDC6F41;
-    }
+    using detail::kConfigCrcAddr;
+    using detail::kConfigCrcByte;
+    const u32 c = (crc_ << 5) ^ kConfigCrcAddr[(crc_ >> 27) ^ (reg & 0x1F)];
+    const u32 m = c ^ word;
+    crc_ = kConfigCrcByte[3][m >> 24] ^ kConfigCrcByte[2][(m >> 16) & 0xFF] ^
+           kConfigCrcByte[1][(m >> 8) & 0xFF] ^ kConfigCrcByte[0][m & 0xFF];
   }
 
   u32 value() const { return crc_; }

@@ -6,6 +6,7 @@
 // and use the _be variants.
 #pragma once
 
+#include <array>
 #include <span>
 
 #include "common/types.hpp"
@@ -61,17 +62,48 @@ inline constexpr u64 bits64(u64 v, unsigned lo, unsigned width) {
   return (v >> lo) & ((width >= 64) ? ~u64{0} : ((u64{1} << width) - 1));
 }
 
+namespace detail {
+
+/// Slice-by-8 tables for the reflected IEEE polynomial: kCrc32Tables[0]
+/// is the classic byte table, and entry [s][i] advances [s-1][i] by one
+/// more zero byte, so one step folds eight input bytes at once.
+constexpr std::array<std::array<u32, 256>, 8> make_crc32_tables() {
+  std::array<std::array<u32, 256>, 8> t{};
+  for (u32 i = 0; i < 256; ++i) {
+    u32 c = i;
+    for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
+    t[0][i] = c;
+  }
+  for (usize s = 1; s < 8; ++s) {
+    for (u32 i = 0; i < 256; ++i) {
+      t[s][i] = (t[s - 1][i] >> 8) ^ t[0][t[s - 1][i] & 0xFF];
+    }
+  }
+  return t;
+}
+
+inline constexpr auto kCrc32Tables = make_crc32_tables();
+
+}  // namespace detail
+
 /// CRC-32 (IEEE 802.3, reflected) — integrity check for staged
 /// bitstream images; incremental via the `crc` parameter (pass the
 /// previous return value to continue, default for a fresh run).
+/// Slice-by-8: eight bytes per table step, then byte steps for the tail.
 inline constexpr u32 crc32(std::span<const u8> data, u32 crc = 0) {
+  const auto& t = detail::kCrc32Tables;
   crc = ~crc;
-  for (const u8 byte : data) {
-    crc ^= byte;
-    for (int i = 0; i < 8; ++i) {
-      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
-    }
+  usize i = 0;
+  for (; i + 8 <= data.size(); i += 8) {
+    const u32 lo = crc ^ (u32{data[i]} | (u32{data[i + 1]} << 8) |
+                          (u32{data[i + 2]} << 16) | (u32{data[i + 3]} << 24));
+    const u32 hi = u32{data[i + 4]} | (u32{data[i + 5]} << 8) |
+                   (u32{data[i + 6]} << 16) | (u32{data[i + 7]} << 24);
+    crc = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+          t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
   }
+  for (; i < data.size(); ++i) crc = (crc >> 8) ^ t[0][(crc ^ data[i]) & 0xFF];
   return ~crc;
 }
 

@@ -1,7 +1,9 @@
 #include "cpu/cpu.hpp"
 
 #include <algorithm>
+#include <array>
 
+#include "common/bytes.hpp"
 #include "common/log.hpp"
 
 namespace rvcap::cpu {
@@ -99,6 +101,20 @@ void CpuContext::read_buffer(Addr a, std::span<u8> out) {
       sim_.run_cycles(tm_.cached_access_core_cycles);
     }
   }
+}
+
+u32 CpuContext::crc32_buffer(Addr a, u32 bytes, u32 crc) {
+  std::array<u8, 4096> chunk{};
+  u32 done = 0;
+  while (done < bytes) {
+    const u32 n = std::min<u32>(static_cast<u32>(chunk.size()), bytes - done);
+    const std::span<u8> part = std::span(chunk).first(n);
+    read_buffer(a + done, part);
+    crc = crc32(part, crc);
+    spend_instructions(n / 4);
+    done += n;
+  }
+  return crc;
 }
 
 void CpuContext::write_buffer(Addr a, std::span<const u8> data) {

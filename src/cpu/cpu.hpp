@@ -49,6 +49,10 @@ class CpuContext {
   /// need not be 8-byte aligned but transfers are whole bytes.
   void read_buffer(Addr a, std::span<u8> out);
   void write_buffer(Addr a, std::span<const u8> data);
+  /// Software CRC-32 over `bytes` of a DDR buffer: read_buffer() in
+  /// 4 KiB chunks plus roughly one ALU bundle per word, so an integrity
+  /// check has a realistic cost. Chains via `crc` like rvcap::crc32().
+  u32 crc32_buffer(Addr a, u32 bytes, u32 crc = 0);
 
   /// Annotate straight-line software cost (bundles ~= instructions).
   void spend_instructions(u64 n) {

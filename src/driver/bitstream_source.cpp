@@ -60,22 +60,6 @@ BitstreamCache::Entry* BitstreamCache::find(std::string_view image) {
   return nullptr;
 }
 
-u32 BitstreamCache::ddr_crc(Addr addr, u32 bytes) {
-  // Timed software CRC, same cost model as the manager's staged-image
-  // verify: cached burst reads plus ~one bundle per word.
-  std::vector<u8> chunk(4096);
-  u32 crc = 0;
-  u32 done = 0;
-  while (done < bytes) {
-    const u32 n = std::min<u32>(static_cast<u32>(chunk.size()), bytes - done);
-    cpu_.read_buffer(addr + done, std::span(chunk).first(n));
-    crc = crc32(std::span<const u8>(chunk).first(n), crc);
-    cpu_.spend_instructions(n / 4);
-    done += n;
-  }
-  return crc;
-}
-
 void BitstreamCache::ddr_copy(Addr src, Addr dst, u32 bytes) {
   std::vector<u8> chunk(4096);
   u32 done = 0;
@@ -99,7 +83,7 @@ bool BitstreamCache::lookup(std::string_view image, Addr dest, u32 capacity,
   const usize slot = static_cast<usize>(e - entries_.data());
   // Integrity rule: the digest is checked on EVERY hit; a cached image
   // is only as good as its bytes are right now.
-  if (ddr_crc(slot_addr(slot), e->bytes) != e->crc) {
+  if (cpu_.crc32_buffer(slot_addr(slot), e->bytes) != e->crc) {
     e->valid = false;
     ++poisoned_;
     RVCAP_TRACE(sink_, obs::EventKind::kNetCachePoison, src_, cpu_.now(),
@@ -145,7 +129,7 @@ void BitstreamCache::insert(std::string_view image, Addr src, u32 bytes) {
   ddr_copy(src, slot_addr(slot), bytes);
   e->image = std::string(image);
   e->bytes = bytes;
-  e->crc = ddr_crc(slot_addr(slot), bytes);
+  e->crc = cpu_.crc32_buffer(slot_addr(slot), bytes);
   e->last_use = ++use_clock_;
   e->valid = true;
   ++inserts_;

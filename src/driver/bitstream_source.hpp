@@ -124,7 +124,6 @@ class BitstreamCache {
   };
 
   Entry* find(std::string_view image);
-  u32 ddr_crc(Addr addr, u32 bytes);
   void ddr_copy(Addr src, Addr dst, u32 bytes);
   Addr slot_addr(usize i) const {
     return cfg_.base + u64{static_cast<u32>(i)} * cfg_.slot_bytes;

@@ -55,7 +55,7 @@ Status DprManager::register_staged(std::string name, u32 rm_id, Addr addr,
   m.rm_id = rm_id;
   m.staged_addr = addr;
   m.pbit_size = bytes;
-  m.crc32 = staged_image_crc(addr, bytes);
+  m.crc32 = drv_.cpu_context().crc32_buffer(addr, bytes);
   m.pinned = true;
   modules_.push_back(std::move(m));
   return Status::kOk;
@@ -98,23 +98,6 @@ void DprManager::unstage(Module& m) {
   if (!m.slot.has_value()) return;
   slot_owner_[*m.slot].reset();
   m.slot.reset();
-}
-
-u32 DprManager::staged_image_crc(Addr addr, u32 bytes) {
-  // Software CRC over the DDR image: cached burst reads plus roughly
-  // one ALU bundle per word, so the check has a realistic cost.
-  cpu::CpuContext& cpu = drv_.cpu_context();
-  std::vector<u8> chunk(4096);
-  u32 crc = 0;
-  u32 done = 0;
-  while (done < bytes) {
-    const u32 n = std::min<u32>(static_cast<u32>(chunk.size()), bytes - done);
-    cpu.read_buffer(addr + done, std::span(chunk).first(n));
-    crc = crc32(std::span<const u8>(chunk).first(n), crc);
-    cpu.spend_instructions(n / 4);
-    done += n;
-  }
-  return crc;
 }
 
 u32 DprManager::claim_slot(Module& m) {
@@ -173,7 +156,7 @@ Status DprManager::ensure_staged(Module& m) {
     }
     m.staged_addr = addr;
     m.pbit_size = bytes;
-    m.crc32 = staged_image_crc(addr, bytes);
+    m.crc32 = drv_.cpu_context().crc32_buffer(addr, bytes);
     ++stats_.staging_loads;
     stage_bitflip_hook(m);
     return Status::kOk;
@@ -313,7 +296,8 @@ Status DprManager::activate(std::string_view name, DmaMode mode,
     }
 
     if (policy_.verify_staged_crc &&
-        staged_image_crc(m->staged_addr, m->pbit_size) != m->crc32) {
+        drv_.cpu_context().crc32_buffer(m->staged_addr, m->pbit_size) !=
+            m->crc32) {
       last = Status::kCrcError;
       ++stats_.staged_crc_failures;
       failed_once = true;

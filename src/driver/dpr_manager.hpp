@@ -228,7 +228,6 @@ class DprManager {
   void stage_bitflip_hook(const Module& m);
   u32 pick_victim_slot();
   void unstage(Module& m);
-  u32 staged_image_crc(Addr addr, u32 bytes);
   /// Scratch DDR just past the slot cache, used for blank bitstreams.
   Addr scratch_addr() const {
     return config_.staging_base +

@@ -59,7 +59,7 @@ Status PlacementEngine::register_module(std::string name, u32 rm_id,
   m.home_region = home_region;
   m.src_addr = addr;
   m.src_bytes = bytes;
-  m.src_crc = ddr_crc(addr, bytes);
+  m.src_crc = drv_.cpu_context().crc32_buffer(addr, bytes);
   modules_.push_back(std::move(m));
   return Status::kOk;
 }
@@ -108,21 +108,6 @@ std::string PlacementEngine::variant_key(const ModuleSpec& m,
   return buf;
 }
 
-u32 PlacementEngine::ddr_crc(Addr addr, u32 bytes) {
-  cpu::CpuContext& cpu = drv_.cpu_context();
-  std::vector<u8> chunk(4096);
-  u32 crc = 0;
-  u32 done = 0;
-  while (done < bytes) {
-    const u32 n = std::min<u32>(static_cast<u32>(chunk.size()), bytes - done);
-    cpu.read_buffer(addr + done, std::span(chunk).first(n));
-    crc = crc32(std::span<const u8>(chunk).first(n), crc);
-    cpu.spend_instructions(n / 4);
-    done += n;
-  }
-  return crc;
-}
-
 Status PlacementEngine::ensure_source(ModuleSpec& m) {
   if (m.src_addr != 0) return Status::kOk;
   // Remote module: one delivery-chain fetch into a permanent arena
@@ -139,7 +124,7 @@ Status PlacementEngine::ensure_source(ModuleSpec& m) {
   }
   m.src_addr = addr;
   m.src_bytes = bytes;
-  m.src_crc = ddr_crc(addr, bytes);
+  m.src_crc = drv_.cpu_context().crc32_buffer(addr, bytes);
   return Status::kOk;
 }
 
@@ -172,7 +157,7 @@ Status PlacementEngine::materialize(std::string_view name, u32 region,
   // reuse — a variant is golden data, never trusted blindly. A failed
   // re-check evicts the poisoned record; a fresh relocation replaces it.
   if (Variant* v = find_variant(name, region)) {
-    if (ddr_crc(v->addr, v->bytes) == v->crc) {
+    if (drv_.cpu_context().crc32_buffer(v->addr, v->bytes) == v->crc) {
       ++stats_.reloc_cache_hits;
       trace(obs::EventKind::kPlaceRelocHit, m->rm_id, region);
       *out = {v->addr, v->bytes, m->rm_id};
@@ -195,7 +180,8 @@ Status PlacementEngine::materialize(std::string_view name, u32 region,
   if (variants_ != nullptr) {
     u32 bytes = 0;
     if (variants_->lookup(key, addr, cfg_.reloc_slot_bytes, &bytes)) {
-      Variant v{std::string(name), region, addr, bytes, ddr_crc(addr, bytes)};
+      Variant v{std::string(name), region, addr, bytes,
+                drv_.cpu_context().crc32_buffer(addr, bytes)};
       materialized_.push_back(std::move(v));
       ++stats_.reloc_cache_hits;
       trace(obs::EventKind::kPlaceRelocHit, m->rm_id, region);

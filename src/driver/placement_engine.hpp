@@ -122,7 +122,6 @@ class PlacementEngine {
   Status ensure_source(ModuleSpec& m);
   Status claim_arena_slot(Addr* addr);
   std::string variant_key(const ModuleSpec& m, u32 region) const;
-  u32 ddr_crc(Addr addr, u32 bytes);
   void trace(obs::EventKind kind, u64 a0, u64 a1 = 0, u64 a2 = 0);
 
   RvCapDriver& drv_;

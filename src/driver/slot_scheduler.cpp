@@ -123,22 +123,6 @@ void SlotScheduler::release_area(TaskRecord& t) {
   }
 }
 
-u32 SlotScheduler::image_crc(Addr addr, u32 words, std::span<const u8> blob) {
-  cpu::CpuContext& cpu = drv_.cpu_context();
-  std::vector<u8> chunk(4096);
-  u32 crc = 0;
-  u32 done = 0;
-  const u32 bytes = words * 4;
-  while (done < bytes) {
-    const u32 n = std::min<u32>(static_cast<u32>(chunk.size()), bytes - done);
-    cpu.read_buffer(addr + done, std::span(chunk).first(n));
-    crc = crc32(std::span<const u8>(chunk).first(n), crc);
-    cpu.spend_instructions(n / 4);
-    done += n;
-  }
-  return crc32(blob, crc);
-}
-
 void SlotScheduler::settle() {
   // Let the fabric-side components observe the configuration change
   // (RmSlot polls the configuration memory once per cycle).
@@ -310,7 +294,9 @@ Status SlotScheduler::capture(TaskRecord& victim) {
   victim.capture_addr = addr;
   victim.capture_words = words;
   victim.capture_area = area;
-  victim.capture_digest = image_crc(addr, words, victim.behavior_blob);
+  victim.capture_digest =
+      crc32(victim.behavior_blob,
+            drv_.cpu_context().crc32_buffer(addr, words * 4));
   victim.capture_poisoned =
       b.cfg->partition_state(b.cfg_handle).essential_upsets > 0;
 
@@ -444,8 +430,9 @@ void SlotScheduler::restore(TaskRecord& t) {
   }
   // Fail-safe gate 3: re-verify the digest over the DDR image plus the
   // architectural-state blob (torn captures are caught here).
-  if (image_crc(t.capture_addr, t.capture_words, t.behavior_blob) !=
-      t.capture_digest) {
+  const u32 image_crc = drv_.cpu_context().crc32_buffer(t.capture_addr,
+                                                        t.capture_words * 4);
+  if (crc32(t.behavior_blob, image_crc) != t.capture_digest) {
     ++stats_.torn_detected;
     rollback(t, SwapEvent::Kind::kRollbackDigest, Status::kCrcError);
     return;

@@ -292,7 +292,6 @@ class SlotScheduler : public ProgressMonitor {
   void finish(TaskRecord& t, TaskState state, Status status);
   void release_area(TaskRecord& t);
   u32 claim_area();
-  u32 image_crc(Addr addr, u32 words, std::span<const u8> blob);
   void journal_event(SwapEvent::Kind kind, u32 slot, const TaskRecord& t,
                      Status status);
   void settle();

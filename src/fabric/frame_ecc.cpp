@@ -1,22 +1,50 @@
 #include "fabric/frame_ecc.hpp"
 
+#include <array>
 #include <bit>
 
 namespace rvcap::fabric {
 
-FrameEcc compute_frame_ecc(std::span<const u32> words) {
-  FrameEcc e;
-  u32 acc = 0;
-  for (usize w = 0; w < words.size(); ++w) {
-    u32 v = words[w];
-    acc ^= v;
-    const u32 base = static_cast<u32>(w) * 32 + 1;
-    while (v != 0) {
-      e.syndrome ^= base + static_cast<u32>(std::countr_zero(v));
-      v &= v - 1;  // iterate set bits only
+namespace {
+
+/// kLowMask[k] selects the bits b < 31 whose position (b + 1) has bit k
+/// set; bit 31's position (w + 1) * 32 has a zero low field.
+constexpr std::array<u32, 5> make_low_masks() {
+  std::array<u32, 5> m{};
+  for (u32 b = 0; b < 31; ++b) {
+    for (u32 k = 0; k < 5; ++k) {
+      if (((b + 1) >> k) & 1) m[k] |= u32{1} << b;
     }
   }
-  e.parity = (std::popcount(acc) & 1) != 0;
+  return m;
+}
+
+constexpr auto kLowMask = make_low_masks();
+
+u32 parity(u32 v) { return static_cast<u32>(std::popcount(v) & 1); }
+
+}  // namespace
+
+FrameEcc compute_frame_ecc(std::span<const u32> words) {
+  // Bit b < 31 of word w sits at (w << 5) | (b + 1); bit 31 sits at
+  // (w + 1) << 5. The syndrome is linear, so the high field is the XOR
+  // of w over words whose low 31 bits have odd parity, plus w + 1 over
+  // words with bit 31 set, and the low field depends only on the XOR of
+  // all words: five masked parities of it.
+  u32 acc = 0;
+  u32 high = 0;
+  for (usize w = 0; w < words.size(); ++w) {
+    const u32 v = words[w];
+    const u32 idx = static_cast<u32>(w);
+    acc ^= v;
+    high ^= idx & (0u - parity(v & 0x7FFFFFFFu));
+    high ^= (idx + 1) & (0u - (v >> 31));
+  }
+  u32 low = 0;
+  for (u32 k = 0; k < 5; ++k) low |= parity(acc & kLowMask[k]) << k;
+  FrameEcc e;
+  e.syndrome = (high << 5) | low;
+  e.parity = parity(acc) != 0;
   return e;
 }
 

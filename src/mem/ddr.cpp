@@ -1,5 +1,6 @@
 #include "mem/ddr.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/bytes.hpp"
@@ -112,13 +113,26 @@ bool DdrController::busy() const {
 }
 
 void DdrController::poke(Addr addr, std::span<const u8> data) {
-  for (usize i = 0; i < data.size(); ++i) *page_for(addr + i) = data[i];
+  usize done = 0;
+  while (done < data.size()) {
+    const Addr a = addr + done;
+    const usize n = std::min(data.size() - done, page_room(a));
+    std::memcpy(page_for(a), data.data() + done, n);
+    done += n;
+  }
 }
 
 void DdrController::peek(Addr addr, std::span<u8> out) const {
-  for (usize i = 0; i < out.size(); ++i) {
-    const u8* p = page_for(addr + i);
-    out[i] = (p != nullptr) ? *p : 0;
+  usize done = 0;
+  while (done < out.size()) {
+    const Addr a = addr + done;
+    const usize n = std::min(out.size() - done, page_room(a));
+    if (const u8* p = page_for(a)) {
+      std::memcpy(out.data() + done, p, n);
+    } else {
+      std::memset(out.data() + done, 0, n);  // untouched page reads as zero
+    }
+    done += n;
   }
 }
 

@@ -72,6 +72,9 @@ class DdrController : public sim::Component {
     bool data_done = false;
   };
 
+  static usize page_room(Addr addr) {  // bytes from addr to its page end
+    return kPageSize - static_cast<usize>(addr & (kPageSize - 1));
+  }
   u8* page_for(Addr addr);
   const u8* page_for(Addr addr) const;  // nullptr if untouched
   u64 read_beat(Addr addr) const;

@@ -6,6 +6,7 @@
 #include "bitstream/writer.hpp"
 #include "common/bytes.hpp"
 #include "common/log.hpp"
+#include "common/rng.hpp"
 #include "fabric/pbit_layout.hpp"
 #include "icap/icap.hpp"
 #include "sim/simulator.hpp"
@@ -117,6 +118,68 @@ TEST(ConfigCrcTest, RegisterAddressMatters) {
   a.update(1, 0xABCD);
   b.update(2, 0xABCD);
   EXPECT_NE(a.value(), b.value());
+}
+
+// Bit-serial definition of the configuration CRC: the 37-bit message
+// (5 address bits, then 32 data bits) shifted MSB-first through the
+// poly-0x1EDC6F41 LFSR. The table-driven ConfigCrc must equal it.
+u32 config_crc_bitwise(u32 crc, u32 reg, u32 word) {
+  const u64 msg = (u64{reg & 0x1F} << 32) | word;
+  for (int i = 36; i >= 0; --i) {
+    const u32 bit = static_cast<u32>((msg >> i) & 1);
+    const u32 top = (crc >> 31) & 1;
+    crc <<= 1;
+    if (bit ^ top) crc ^= 0x1EDC6F41;
+  }
+  return crc;
+}
+
+TEST(ConfigCrcTest, EqualsBitSerialReferenceForEveryRegister) {
+  SplitMix64 rng(0x1EDC6F41);
+  bitstream::ConfigCrc crc;
+  u32 ref = 0;
+  for (int round = 0; round < 64; ++round) {
+    for (u32 reg = 0; reg < 32; ++reg) {
+      const u32 word = static_cast<u32>(rng.next());
+      crc.update(reg, word);
+      ref = config_crc_bitwise(ref, reg, word);
+      ASSERT_EQ(crc.value(), ref) << "reg " << reg << " round " << round;
+    }
+  }
+}
+
+TEST(ConfigCrcTest, RegisterAboveFiveBitsIsMasked) {
+  SplitMix64 rng(0x37);
+  for (int i = 0; i < 256; ++i) {
+    const u32 reg = static_cast<u32>(rng.next());
+    const u32 word = static_cast<u32>(rng.next());
+    bitstream::ConfigCrc wide, masked;
+    wide.update(reg, word);
+    masked.update(reg & 0x1F, word);
+    EXPECT_EQ(wide.value(), masked.value()) << std::hex << reg;
+    EXPECT_EQ(wide.value(), config_crc_bitwise(0, reg, word))
+        << std::hex << reg;
+  }
+}
+
+// Values recorded with the bit-serial kernels before they were replaced
+// by the table-driven ones: the case-study image must not change.
+TEST_F(BitstreamFixture, CaseStudyImageChecksumsArePinned) {
+  const auto pbit = generate_partial_bitstream(dev, rp, {1, "sobel"});
+  ASSERT_EQ(pbit.size(), 650892u);
+  EXPECT_EQ(crc32(pbit), 0xD4857200u);
+  // The writer emits two CRC checks; the last is the final ConfigCrc.
+  const u32 crc_hdr = bitstream::type1(bitstream::PacketOp::kWrite,
+                                       bitstream::ConfigReg::kCrc, 1);
+  std::vector<u32> crc_words;
+  for (usize i = 0; i + 8 <= pbit.size(); i += 4) {
+    if (load_be32(std::span(pbit).subspan(i, 4)) == crc_hdr) {
+      crc_words.push_back(load_be32(std::span(pbit).subspan(i + 4, 4)));
+    }
+  }
+  ASSERT_EQ(crc_words.size(), 2u);
+  EXPECT_EQ(crc_words[0], 0x6F1F3C0Fu);
+  EXPECT_EQ(crc_words[1], 0x7199829Au);
 }
 
 TEST(PacketCodec, Type1RoundTrip) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/hexdump.hpp"
@@ -146,6 +148,67 @@ TEST(Bytes, Crc32ChainsIncrementally) {
   u32 crc = crc32(span.first(4));
   crc = crc32(span.subspan(4), crc);
   EXPECT_EQ(crc, crc32(span));
+}
+
+// Bit-serial definition of CRC-32 (8 shift/xor steps per byte): the
+// reference the slice-by-8 kernel must equal on every input.
+u32 crc32_bitwise(std::span<const u8> data, u32 crc = 0) {
+  crc = ~crc;
+  for (const u8 byte : data) {
+    crc ^= byte;
+    for (int i = 0; i < 8; ++i) {
+      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+    }
+  }
+  return ~crc;
+}
+
+std::vector<u8> random_bytes(SplitMix64& rng, usize n) {
+  std::vector<u8> v(n);
+  for (u8& b : v) b = rng.next_byte();
+  return v;
+}
+
+TEST(Bytes, Crc32EqualsBitSerialReferenceForShortLengths) {
+  SplitMix64 rng(0xC3C32);
+  for (usize n = 0; n <= 64; ++n) {
+    const auto data = random_bytes(rng, n);
+    EXPECT_EQ(crc32(data), crc32_bitwise(data)) << "length " << n;
+  }
+}
+
+TEST(Bytes, Crc32EqualsBitSerialReferenceOnUnalignedTails) {
+  SplitMix64 rng(0x7A11);
+  const auto buf = random_bytes(rng, 4096 + 64);
+  const auto all = std::span<const u8>(buf);
+  for (usize off : {0, 1, 3, 5, 7}) {
+    for (usize n : {9, 15, 17, 255, 1023, 4095, 4097}) {
+      const auto part = all.subspan(off, n);
+      EXPECT_EQ(crc32(part), crc32_bitwise(part)) << off << "+" << n;
+    }
+  }
+}
+
+TEST(Bytes, Crc32ChainedCallsEqualBitSerialReference) {
+  SplitMix64 rng(0xC4A1);
+  const auto buf = random_bytes(rng, 3000);
+  const auto all = std::span<const u8>(buf);
+  u32 fast = 0;
+  u32 ref = 0;
+  usize done = 0;
+  while (done < all.size()) {
+    const usize n = std::min<usize>(rng.next_range(0, 97), all.size() - done);
+    fast = crc32(all.subspan(done, n), fast);
+    ref = crc32_bitwise(all.subspan(done, n), ref);
+    EXPECT_EQ(fast, ref) << "after " << done + n << " bytes";
+    done += n;
+  }
+  EXPECT_EQ(fast, crc32_bitwise(all));
+}
+
+TEST(Bytes, Crc32IsUsableInConstantExpressions) {
+  static constexpr u8 kCheck[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
+  static_assert(crc32(kCheck) == 0xCBF43926u);
 }
 
 TEST(Hexdump, FormatsAsciiGutter) {

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "fabric/config_memory.hpp"
+#include "fabric/frame_ecc.hpp"
 #include "fabric/geometry.hpp"
 #include "fabric/pbit_layout.hpp"
 
@@ -235,6 +240,77 @@ TEST_F(CfgMemFixture, FrameReadbackMatchesWrite) {
   ASSERT_NE(back, nullptr);
   EXPECT_EQ(*back, words);
   EXPECT_EQ(cfg.frame(addrs[1]), nullptr);
+}
+
+// Bit-serial definition of the frame ECC: every set bit XORs its
+// 1-based position (word*32 + bit + 1) into the syndrome. The
+// popcount-parity kernel must equal it.
+fabric::FrameEcc frame_ecc_bitwise(std::span<const u32> words) {
+  fabric::FrameEcc e;
+  u32 acc = 0;
+  for (usize w = 0; w < words.size(); ++w) {
+    acc ^= words[w];
+    for (u32 b = 0; b < 32; ++b) {
+      if ((words[w] >> b) & 1) e.syndrome ^= static_cast<u32>(w) * 32 + b + 1;
+    }
+  }
+  e.parity = (std::popcount(acc) & 1) != 0;
+  return e;
+}
+
+std::vector<u32> random_words(SplitMix64& rng, usize n) {
+  std::vector<u32> v(n);
+  for (u32& x : v) x = static_cast<u32>(rng.next());
+  return v;
+}
+
+TEST(FrameEccKernel, EqualsBitSerialReferenceOnRandomFrames) {
+  SplitMix64 rng(0xECC1);
+  for (usize n : {usize{0}, usize{1}, usize{2}, usize{31}, usize{101},
+                  usize{kFrameWords}}) {
+    for (int i = 0; i < 16; ++i) {
+      const auto w = random_words(rng, n);
+      EXPECT_EQ(fabric::compute_frame_ecc(w), frame_ecc_bitwise(w)) << n;
+    }
+  }
+}
+
+TEST(FrameEccKernel, BitThirtyOneCarriesIntoNextWordSlot) {
+  SplitMix64 rng(0xECC31);
+  for (usize n : {usize{101}, usize{kFrameWords}}) {
+    auto w = random_words(rng, n);
+    for (u32& x : w) x |= 0x80000000u;
+    EXPECT_EQ(fabric::compute_frame_ecc(w), frame_ecc_bitwise(w));
+    const std::vector<u32> only_top(n, 0x80000000u);
+    EXPECT_EQ(fabric::compute_frame_ecc(only_top), frame_ecc_bitwise(only_top));
+  }
+}
+
+TEST(FrameEccKernel, AllOnesAndAllZeroFrames) {
+  for (usize n : {usize{101}, usize{kFrameWords}}) {
+    const std::vector<u32> ones(n, 0xFFFFFFFFu);
+    EXPECT_EQ(fabric::compute_frame_ecc(ones), frame_ecc_bitwise(ones));
+    const std::vector<u32> zeros(n, 0);
+    EXPECT_EQ(fabric::compute_frame_ecc(zeros), fabric::FrameEcc{});
+  }
+}
+
+TEST(FrameEccKernel, EverySingleBitFlipOfA101WordFrameLocalizes) {
+  SplitMix64 rng(0xECC101);
+  const auto golden = random_words(rng, 101);
+  const fabric::FrameEcc g = fabric::compute_frame_ecc(golden);
+  ASSERT_EQ(g, frame_ecc_bitwise(golden));
+  for (u32 word = 0; word < 101; ++word) {
+    for (u32 bit = 0; bit < 32; ++bit) {
+      auto w = golden;
+      w[word] ^= u32{1} << bit;
+      const auto d =
+          fabric::decode_frame_ecc(g, fabric::compute_frame_ecc(w), 101);
+      ASSERT_EQ(d.cls, fabric::EccClass::kCorrectable) << word << ":" << bit;
+      EXPECT_EQ(d.word, word);
+      EXPECT_EQ(d.bit, bit);
+    }
+  }
 }
 
 TEST(Manifest, EncodeDecodeRoundtrip) {

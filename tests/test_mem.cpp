@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "mem/ddr.hpp"
@@ -36,6 +37,24 @@ TEST_F(DdrFixture, UntouchedMemoryReadsZero) {
   u8 out[16] = {0xFF};
   ddr.peek(0x900000, out);
   for (u8 b : out) EXPECT_EQ(b, 0);
+}
+
+TEST_F(DdrFixture, BackdoorCopiesSpanPageBoundaries) {
+  // A 10,000-byte image at an odd offset covers parts of four 4 KiB
+  // pages; the read window adds an untouched page on each side.
+  SplitMix64 rng(0xDD4);
+  std::vector<u8> data(10'000);
+  for (u8& b : data) b = rng.next_byte();
+  const Addr at = 0x2FF3;
+  ddr.poke(at, data);
+  std::vector<u8> out(data.size() + 2 * 4096 + 0x1FF3, 0xAA);
+  ddr.peek(0x1000, out);
+  const usize lead = at - 0x1000;
+  for (usize i = 0; i < lead; ++i) ASSERT_EQ(out[i], 0) << i;
+  EXPECT_EQ(0, std::memcmp(out.data() + lead, data.data(), data.size()));
+  for (usize i = lead + data.size(); i < out.size(); ++i) {
+    ASSERT_EQ(out[i], 0) << i;
+  }
 }
 
 TEST_F(DdrFixture, AxiWriteVisibleViaBackdoor) {
