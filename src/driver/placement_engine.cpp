@@ -7,7 +7,6 @@
 #include "bitstream/preflight.hpp"
 #include "bitstream/relocate.hpp"
 #include "common/bytes.hpp"
-#include "soc/service_regs.hpp"
 
 namespace rvcap::driver {
 
@@ -239,70 +238,35 @@ Status PlacementEngine::materialize(std::string_view name, u32 region,
   }
   ++stats_.relocations;
   trace(obs::EventKind::kPlaceRelocate, m->rm_id, m->home_region, region);
-  publish();
   return Status::kOk;
 }
 
 void PlacementEngine::note_migration(u64 task, u32 from_slot, u32 to_slot) {
   ++stats_.migrations;
   trace(obs::EventKind::kPlaceMigrate, task, from_slot, to_slot);
-  publish();
 }
 
 void PlacementEngine::note_compaction(u32 class_id, usize migrations,
                                       u32 len) {
   ++stats_.compactions;
   trace(obs::EventKind::kPlaceCompact, class_id, migrations, len);
-  publish();
 }
 
 void PlacementEngine::note_span_grant(u32 class_id, u32 base_region,
                                       u32 len) {
   ++stats_.span_grants;
   trace(obs::EventKind::kPlaceSpan, class_id, base_region, len);
-  publish();
 }
 
 void PlacementEngine::note_span_release(u32 class_id, u32 base_region,
                                         u32 len) {
   trace(obs::EventKind::kPlaceSpanFree, class_id, base_region, len);
-  publish();
 }
 
 void PlacementEngine::note_span_reject(u32 class_id) {
   ++stats_.span_rejects;
   trace(obs::EventKind::kPlaceReject, class_id,
         static_cast<u64>(Status::kNoSpace));
-  publish();
-}
-
-void PlacementEngine::publish() {
-  if (cfg_.mailbox_base == 0) return;
-  cpu::CpuContext& cpu = drv_.cpu_context();
-  const Addr b = cfg_.mailbox_base;
-  using soc::ServiceRegs;
-  cpu.store32_uncached(b + ServiceRegs::kPlaceRequests,
-                       static_cast<u32>(stats_.requests));
-  cpu.store32_uncached(b + ServiceRegs::kPlaceRelocations,
-                       static_cast<u32>(stats_.relocations));
-  cpu.store32_uncached(b + ServiceRegs::kPlaceRelocHits,
-                       static_cast<u32>(stats_.reloc_cache_hits));
-  cpu.store32_uncached(b + ServiceRegs::kPlaceMigrations,
-                       static_cast<u32>(stats_.migrations));
-  cpu.store32_uncached(b + ServiceRegs::kPlaceCompactions,
-                       static_cast<u32>(stats_.compactions));
-  cpu.store32_uncached(b + ServiceRegs::kPlaceSpanGrants,
-                       static_cast<u32>(stats_.span_grants));
-  cpu.store32_uncached(b + ServiceRegs::kPlaceSpanRejects,
-                       static_cast<u32>(stats_.span_rejects));
-  if (alloc_.num_regions() > 0) {
-    const u32 cls = alloc_.class_of(0);
-    cpu.store32_uncached(b + ServiceRegs::kPlaceFreeRegions,
-                         alloc_.free_count(cls));
-    cpu.store32_uncached(
-        b + ServiceRegs::kPlaceFragPct,
-        static_cast<u32>(alloc_.fragmentation(cls) * 100.0));
-  }
 }
 
 }  // namespace rvcap::driver

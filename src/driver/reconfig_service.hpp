@@ -30,9 +30,6 @@
 //    deadline); requests whose deadline has already passed complete
 //    with kDeadlineMissed without touching the hardware; clients can
 //    cancel while queued.
-//
-// Telemetry is mirrored into the soc::ServiceRegs MMIO block after
-// every terminal event when a mailbox address is configured.
 #pragma once
 
 #include <string>
@@ -59,9 +56,7 @@ class ReconfigService : public ProgressMonitor {
     // ---- watchdog ----
     u64 watchdog_interval_ticks = 50;  // CLINT ticks between probes
     u32 watchdog_stall_polls = 4;      // frozen probes => hang
-    // ---- telemetry ----
-    Addr mailbox_base = 0;  // soc::ServiceRegs base; 0 = disabled
-    u32 slot_id = 0;        // RP slot this service serves (mailbox tag)
+    u32 slot_id = 0;  // RP slot this service serves (intent-record tag)
   };
 
   /// A client's asynchronous activation request.
@@ -121,7 +116,6 @@ class ReconfigService : public ProgressMonitor {
     u64 quarantine_rejects = 0; // fast-fail resubmits of quarantined RMs
     u64 preflight_rejects = 0;  // images failing admission parsing
     u64 hangs = 0;              // watchdog-declared wedged transfers
-    u64 max_queue_depth = 0;
   };
 
   ReconfigService(DprManager& mgr, const Config& cfg);
@@ -169,7 +163,6 @@ class ReconfigService : public ProgressMonitor {
   RequestRecord* find(RequestId id);
   RequestRecord* best_queued();
   void finish(RequestRecord& r, RequestState state, Status status);
-  void publish_stats();
   Status preflight(const ActivationRequest& req);
   void trace(obs::EventKind kind, u64 a0, u64 a1 = 0, u64 a2 = 0);
   void intent(IntentOp op, const RequestRecord& r);

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "cpu/cpu.hpp"
-#include "soc/service_regs.hpp"
 
 namespace rvcap::driver {
 
@@ -315,47 +314,9 @@ Status RecoveryManager::recover(Report* out) {
   rep.ready_cycles = cpu_.now() - start;
   trace(obs::EventKind::kRecovReady, verified_slots, rep.quarantined,
         rep.ready_cycles);
-  publish(rep);
   recovered_ = true;
   if (out != nullptr) *out = rep;
   return rep.all_verified ? Status::kOk : Status::kInternal;
-}
-
-void RecoveryManager::publish(const Report& rep) {
-  if (cfg_.mailbox_base == 0) return;
-  const Addr b = cfg_.mailbox_base;
-  using soc::ServiceRegs;
-  u32 clean = 0, interrupted = 0, unknown = 0;
-  for (const SlotReport& s : rep.slots) {
-    switch (s.verdict) {
-      case SlotVerdict::kClean: ++clean; break;
-      case SlotVerdict::kInterrupted: ++interrupted; break;
-      case SlotVerdict::kUnknown: ++unknown; break;
-    }
-  }
-  cpu_.store32_uncached(b + ServiceRegs::kRecovBootEpoch, rep.boot_epoch);
-  cpu_.store32_uncached(b + ServiceRegs::kRecovRecords,
-                        rep.journal.valid_records);
-  cpu_.store32_uncached(b + ServiceRegs::kRecovTornTail,
-                        rep.journal.torn_tail_cells);
-  cpu_.store32_uncached(b + ServiceRegs::kRecovCorrupt,
-                        rep.journal.corrupt_records);
-  cpu_.store32_uncached(b + ServiceRegs::kRecovSlotsClean, clean);
-  cpu_.store32_uncached(b + ServiceRegs::kRecovSlotsInterrupted, interrupted);
-  cpu_.store32_uncached(b + ServiceRegs::kRecovSlotsUnknown, unknown);
-  cpu_.store32_uncached(b + ServiceRegs::kRecovGoldenReloads,
-                        rep.golden_reloads);
-  cpu_.store32_uncached(b + ServiceRegs::kRecovQuarantined, rep.quarantined);
-  cpu_.store32_uncached(b + ServiceRegs::kRecovReplayed,
-                        rep.replayed_requests);
-  cpu_.store32_uncached(b + ServiceRegs::kRecovShed, rep.shed_requests);
-  cpu_.store32_uncached(b + ServiceRegs::kRecovReadyCycles,
-                        static_cast<u32>(rep.ready_cycles));
-  cpu_.store32_uncached(b + ServiceRegs::kRecovVerified,
-                        rep.all_verified ? 1 : 0);
-  cpu_.store32_uncached(
-      b + ServiceRegs::kRecovPrecrashFailures,
-      static_cast<u32>(rep.precrash_failures.size()));
 }
 
 }  // namespace rvcap::driver

@@ -4,7 +4,6 @@
 
 #include "common/bytes.hpp"
 #include "common/units.hpp"
-#include "soc/service_regs.hpp"
 
 namespace rvcap::driver {
 
@@ -361,7 +360,6 @@ Status ScrubService::step() {
       break;
     }
   }
-  publish_stats();
   return result;
 }
 
@@ -374,30 +372,6 @@ Status ScrubService::scrub_pass() {
     if (++guard > 1'000'000) return Status::kTimeout;
   }
   return Status::kOk;
-}
-
-void ScrubService::publish_stats() {
-  if (cfg_.mailbox_base == 0) return;
-  cpu::CpuContext& cpu = drv_.cpu_context();
-  const Addr b = cfg_.mailbox_base;
-  using R = soc::ServiceRegs;
-  const auto w32 = [&](Addr off, u64 v) {
-    cpu.store32_uncached(b + off, static_cast<u32>(v));
-  };
-  w32(R::kScrubPasses, stats_.passes);
-  w32(R::kScrubFrames, stats_.frames_scrubbed);
-  w32(R::kScrubDetections, stats_.detections);
-  w32(R::kScrubCorrectable, stats_.correctable);
-  w32(R::kScrubUncorrectable, stats_.uncorrectable);
-  w32(R::kScrubEssential, stats_.essential);
-  w32(R::kScrubBenign, stats_.benign);
-  w32(R::kScrubRewrites, stats_.frame_rewrites);
-  w32(R::kScrubReloads, stats_.partition_reloads);
-  w32(R::kScrubYields, stats_.yields);
-  w32(R::kScrubPending, pending_.size());
-  w32(R::kScrubMeanMttd, static_cast<u64>(mean_mttd_cycles()));
-  w32(R::kScrubMeanMttr, static_cast<u64>(mean_mttr_cycles()));
-  w32(R::kScrubFramesPerSec, stats_.last_pass_frames_per_sec);
 }
 
 }  // namespace rvcap::driver

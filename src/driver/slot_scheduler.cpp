@@ -8,7 +8,6 @@
 #include "common/bytes.hpp"
 #include "common/log.hpp"
 #include "driver/placement_engine.hpp"
-#include "soc/service_regs.hpp"
 
 namespace rvcap::driver {
 
@@ -692,7 +691,6 @@ bool SlotScheduler::step() {
   }
   if (t->state != TaskState::kRunning) return true;  // rollback consumed step
   run_chunk(*t);
-  publish();
   return true;
 }
 
@@ -836,43 +834,6 @@ bool SlotScheduler::on_poll(const TransferProgress& p) {
   log_warn("slot_scheduler: watchdog hang, beats frozen at ", p.beats, " of ",
            wd_expected_beats_);
   return false;
-}
-
-void SlotScheduler::publish() {
-  if (cfg_.mailbox_base == 0) return;
-  cpu::CpuContext& cpu = drv_.cpu_context();
-  const Addr b = cfg_.mailbox_base;
-  using soc::ServiceRegs;
-  cpu.store32_uncached(b + ServiceRegs::kSlotTasksSubmitted,
-                       static_cast<u32>(stats_.submitted));
-  cpu.store32_uncached(b + ServiceRegs::kSlotTasksCompleted,
-                       static_cast<u32>(stats_.completed));
-  cpu.store32_uncached(b + ServiceRegs::kSlotPreemptions,
-                       static_cast<u32>(stats_.preemptions));
-  cpu.store32_uncached(b + ServiceRegs::kSlotCaptures,
-                       static_cast<u32>(stats_.captures));
-  cpu.store32_uncached(b + ServiceRegs::kSlotRestores,
-                       static_cast<u32>(stats_.restores));
-  cpu.store32_uncached(b + ServiceRegs::kSlotRollbacks,
-                       static_cast<u32>(stats_.rollbacks));
-  cpu.store32_uncached(b + ServiceRegs::kSlotSheds,
-                       static_cast<u32>(stats_.sheds));
-  cpu.store32_uncached(b + ServiceRegs::kSlotSwapHangs,
-                       static_cast<u32>(stats_.swap_hangs));
-  cpu.store32_uncached(b + ServiceRegs::kSlotDeadlineMisses,
-                       static_cast<u32>(stats_.deadline_misses));
-  u32 depth = 0;
-  for (const TaskRecord& t : tasks_) {
-    if (t.state == TaskState::kQueued) ++depth;
-  }
-  cpu.store32_uncached(b + ServiceRegs::kSlotQueueDepth, depth);
-  const u64 n = journal_events_;
-  if (n > 0) {
-    cpu.store32_uncached(
-        b + ServiceRegs::kSlotLastEvent,
-        static_cast<u32>(journal_[(n - 1) % kJournalCapacity].kind));
-  }
-  if (engine_ != nullptr) engine_->publish();
 }
 
 }  // namespace rvcap::driver

@@ -87,8 +87,6 @@ class SlotScheduler : public ProgressMonitor {
     // ---- watchdog (swap-transfer fence) ----
     u64 watchdog_interval_ticks = 50;
     u32 watchdog_stall_polls = 4;
-    // ---- telemetry ----
-    Addr mailbox_base = 0;          // soc::ServiceRegs base; 0 = off
   };
 
   /// A streaming hardware task: activate `module`, then push
@@ -295,7 +293,6 @@ class SlotScheduler : public ProgressMonitor {
   void journal_event(SwapEvent::Kind kind, u32 slot, const TaskRecord& t,
                      Status status);
   void settle();
-  void publish();
   void trace(obs::EventKind kind, u64 a0, u64 a1 = 0, u64 a2 = 0);
   void intent(IntentOp op, u32 slot, u32 rm_id, u32 arg0 = 0);
 

@@ -1,17 +1,19 @@
 // Performance-counter window registers (DESIGN.md §11).
 //
-// An AXI4-Lite register file next to ServiceRegs exposing the
-// simulator's CounterRegistry to driver-side code, the way firmware on
-// the real Genesys2 would read a hardware performance monitor: write
-// an index into SELECT, then read the latched 64-bit value through
-// VALUE_LO/VALUE_HI. The select wraps modulo the registered counter
-// count, so firmware can scan the whole window with a free-running
-// index and COUNT tells it where the window ends.
+// The SoC's only telemetry window: an AXI4-Lite register file
+// exposing the simulator's CounterRegistry to driver-side code, the
+// way firmware on the real Genesys2 would read a hardware performance
+// monitor: write an index into SELECT, then read the latched 64-bit
+// value through VALUE_LO/VALUE_HI. The select wraps modulo the
+// registered counter count, so firmware can scan the whole window with
+// a free-running index and COUNT tells it where the window ends.
 //
-// Reads sample the live registry (counters registered via sampled
-// getters cost one std::function call per MMIO read — off the
-// simulation hot path by construction). VALUE_LO latches the full
-// 64-bit value so a LO/HI pair is tear-free even while counters move.
+// Drivers never store telemetry over the bus: the window samples the
+// live registry on read (counters registered via sampled getters cost
+// one std::function call per MMIO read — off the simulation hot path
+// by construction), so exporting a counter costs zero simulated
+// cycles. VALUE_LO latches the full 64-bit value so a LO/HI pair is
+// tear-free even while counters move.
 #pragma once
 
 #include "axi/lite_slave.hpp"

@@ -9,8 +9,8 @@
 // intent journal (torn-tail truncation, corrupt-record skipping, ring
 // wrap), the torn-sector SD power model, the cold-boot
 // RecoveryManager (classification, golden reload, crash-loop
-// quarantine, pending-request replay/shed, recovery mailbox) and the
-// new fault sites.
+// quarantine, pending-request replay/shed, the recovery Report) and
+// the new fault sites.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -41,7 +41,6 @@ using driver::ReconfigService;
 using driver::RecoveryJournal;
 using driver::RecoveryManager;
 using soc::ArianeSoc;
-using soc::MemoryMap;
 using soc::SocConfig;
 namespace sites = sim::fault_sites;
 
@@ -406,9 +405,7 @@ RecoveredState recover_boot(storage::SdCard& card,
   card.power_on();
   Boot b(card, nullptr, mode);
   EXPECT_TRUE(b.sd_ok);
-  RecoveryManager::Config rc;
-  rc.mailbox_base = MemoryMap::kServiceRegs.base;
-  RecoveryManager rman(b.soc->cpu(), *b.journal, rc);
+  RecoveryManager rman(b.soc->cpu(), *b.journal);
   rman.add_slot(0, b.mgr.get(), b.svc.get());
   RecoveredState out;
   out.status = rman.recover(&out.report);
@@ -720,25 +717,18 @@ TEST_F(PolicyFixture, PrecrashFailureNotesAreDecoded) {
   EXPECT_EQ(r.report.precrash_failures[0].rm_id, 40u);
 }
 
-TEST_F(PolicyFixture, MailboxPublishesRecoveryOutcome) {
+TEST_F(PolicyFixture, ReportCarriesRecoveryOutcome) {
   author({make(IntentOp::kReconfigStart, 40, 100)});
-  rig.card.power_on();
-  Boot b(rig.card, nullptr, sim::Simulator::Mode::kScheduled);
-  ASSERT_TRUE(b.sd_ok);
-  RecoveryManager::Config rc;
-  rc.mailbox_base = MemoryMap::kServiceRegs.base;
-  RecoveryManager rman(b.soc->cpu(), *b.journal, rc);
-  rman.add_slot(0, b.mgr.get(), b.svc.get());
-  ASSERT_EQ(rman.recover(), Status::kOk);
-  cpu::CpuContext& cpu = b.soc->cpu();
-  const Addr base = MemoryMap::kServiceRegs.base;
-  using soc::ServiceRegs;
-  EXPECT_EQ(cpu.load32_uncached(base + ServiceRegs::kRecovBootEpoch), 1u);
-  EXPECT_EQ(cpu.load32_uncached(base + ServiceRegs::kRecovSlotsInterrupted),
-            1u);
-  EXPECT_EQ(cpu.load32_uncached(base + ServiceRegs::kRecovGoldenReloads), 1u);
-  EXPECT_EQ(cpu.load32_uncached(base + ServiceRegs::kRecovVerified), 1u);
-  EXPECT_GT(cpu.load32_uncached(base + ServiceRegs::kRecovReadyCycles), 0u);
+  const RecoveredState r =
+      recover_boot(rig.card, sim::Simulator::Mode::kScheduled);
+  ASSERT_EQ(r.status, Status::kOk);
+  EXPECT_EQ(r.report.boot_epoch, 1u);
+  ASSERT_EQ(r.report.slots.size(), 1u);
+  EXPECT_EQ(r.report.slots[0].verdict,
+            RecoveryManager::SlotVerdict::kInterrupted);
+  EXPECT_EQ(r.report.golden_reloads, 1u);
+  EXPECT_TRUE(r.report.all_verified);
+  EXPECT_GT(r.report.ready_cycles, 0u);
 }
 
 // ---------------------------------------------------------------------

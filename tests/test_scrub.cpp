@@ -5,7 +5,7 @@
 // Layers covered bottom-up: SECDED syndrome math and the essential-bits
 // mask (pure functions), ConfigMemory upset bookkeeping (observer hook,
 // in-place repair exception), single-frame rewrite and full-reload
-// escalation through the real driver/ICAP path, IRQ + ServiceRegs
+// escalation through the real driver/ICAP path, IRQ + PerfRegs
 // telemetry, and the closed-loop acceptance demo — a Poisson upset
 // process corrupting a streaming RM while the scrub service repairs it,
 // ending bit-exact.
@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
+#include <string_view>
 #include <tuple>
 
 #include "accel/filters.hpp"
@@ -32,7 +33,6 @@
 #include "sim/fault_injector.hpp"
 #include "soc/ariane_soc.hpp"
 #include "soc/memory_map.hpp"
-#include "soc/service_regs.hpp"
 #include "testutil.hpp"
 
 namespace rvcap {
@@ -267,7 +267,7 @@ struct ScrubWorld {
                  driver::Scrubber::Config{0x8C00'0000, 0x8D00'0000}),
         fi(seed),
         mgr(drv, soc.config_memory(), soc.rp0_handle(), nullptr),
-        svc(mgr, svc_config()),
+        svc(mgr),
         scrub(drv, soc.config_memory(), svc, scrub_config()) {
     soc.attach_fault_injector(&fi);
     mgr.set_fault_injector(&fi);
@@ -289,18 +289,11 @@ struct ScrubWorld {
     return cfg;
   }
 
-  static ReconfigService::Config svc_config() {
-    ReconfigService::Config cfg;
-    cfg.mailbox_base = MemoryMap::kServiceRegs.base;
-    return cfg;
-  }
-
   static ScrubService::Config scrub_config() {
     ScrubService::Config cfg;
     cfg.cmd_staging = 0x8C00'0000;
     cfg.rb_buffer = 0x8D00'0000;
     cfg.frames_per_slice = 128;
-    cfg.mailbox_base = MemoryMap::kServiceRegs.base;
     return cfg;
   }
 
@@ -502,25 +495,42 @@ TEST_F(ScrubFixture, YieldsToForegroundRequestsMidPass) {
   EXPECT_EQ(mgr.active_module(), "median");
 }
 
-TEST_F(ScrubFixture, TelemetryVisibleThroughServiceRegs) {
+TEST_F(ScrubFixture, StatsCountPassRepairAndLatency) {
   activate("sobel");
   ASSERT_TRUE(mem().inject_upset(rp_addrs()[7], 3, 3));
   ASSERT_EQ(scrub.scrub_pass(), Status::kOk);
 
-  auto reg = [&](Addr off) {
-    return soc.cpu().load32_uncached(MemoryMap::kServiceRegs.base + off);
+  const auto& st = scrub.stats();
+  EXPECT_EQ(st.passes, 1u);
+  EXPECT_EQ(st.frames_scrubbed, rp_addrs().size());
+  EXPECT_EQ(st.detections, 1u);
+  EXPECT_EQ(st.correctable, 1u);
+  EXPECT_EQ(st.frame_rewrites, 1u);
+  EXPECT_EQ(st.partition_reloads, 0u);
+  EXPECT_EQ(scrub.pending_upsets(), 0u);
+  EXPECT_GT(scrub.mean_mttd_cycles(), 0.0);
+  EXPECT_GE(scrub.mean_mttr_cycles(), scrub.mean_mttd_cycles());
+  EXPECT_GT(st.last_pass_frames_per_sec, 0u);
+}
+
+TEST_F(ScrubFixture, TelemetryVisibleThroughPerfRegs) {
+  activate("sobel");
+  ASSERT_TRUE(mem().inject_upset(rp_addrs()[7], 3, 3));
+  ASSERT_EQ(scrub.scrub_pass(), Status::kOk);
+
+  // Firmware view of the driver-registered counters: SELECT one by
+  // index, then read VALUE_LO/VALUE_HI over the peripheral bus.
+  const obs::CounterRegistry& reg = soc.sim().obs().counters();
+  auto read_counter = [&](std::string_view name) {
+    const usize i = reg.counter_index(name);
+    EXPECT_LT(i, reg.counter_count()) << name;
+    drv.perf_select(static_cast<u32>(i));
+    return drv.perf_read();
   };
-  using R = soc::ServiceRegs;
-  EXPECT_EQ(reg(R::kScrubPasses), 1u);
-  EXPECT_EQ(reg(R::kScrubFrames), rp_addrs().size());
-  EXPECT_EQ(reg(R::kScrubDetections), 1u);
-  EXPECT_EQ(reg(R::kScrubCorrectable), 1u);
-  EXPECT_EQ(reg(R::kScrubRewrites), 1u);
-  EXPECT_EQ(reg(R::kScrubReloads), 0u);
-  EXPECT_EQ(reg(R::kScrubPending), 0u);
-  EXPECT_GT(reg(R::kScrubMeanMttd), 0u);
-  EXPECT_GE(reg(R::kScrubMeanMttr), reg(R::kScrubMeanMttd));
-  EXPECT_GT(reg(R::kScrubFramesPerSec), 0u);
+  EXPECT_EQ(read_counter("scrub.passes"), scrub.stats().passes);
+  EXPECT_EQ(read_counter("service.completed"), svc.stats().completed);
+  EXPECT_EQ(scrub.stats().passes, 1u);
+  EXPECT_EQ(svc.stats().completed, 1u);
 }
 
 TEST_F(ScrubFixture, EssentialUpsetCorruptsStreamUntilRepaired) {
@@ -648,12 +658,6 @@ TEST(ScrubDemo, ContinuousUpsetsRepairedUnderLiveTraffic) {
   EXPECT_GE(w.scrub.mean_mttr_cycles(), w.scrub.mean_mttd_cycles());
   // ...and the hosted function is fully restored.
   EXPECT_TRUE(o.final_image_exact);
-
-  // MTTD/MTTR remain observable over the bus after the run.
-  using R = soc::ServiceRegs;
-  EXPECT_GT(w.soc.cpu().load32_uncached(MemoryMap::kServiceRegs.base +
-                                        R::kScrubMeanMttd),
-            0u);
 }
 
 TEST(ScrubDemo, SameSeedReplaysIdenticalUpsetAndRepairHistory) {

@@ -28,8 +28,6 @@
 #include "obs/trace.hpp"
 #include "sim/fault_injector.hpp"
 #include "soc/ariane_soc.hpp"
-#include "soc/memory_map.hpp"
-#include "soc/service_regs.hpp"
 #include "testutil.hpp"
 
 namespace rvcap {
@@ -557,30 +555,24 @@ TEST(ServiceStress, DifferentSeedsDiverge) {
 }
 
 // ---------------------------------------------------------------------
-// Telemetry mailbox
+// Telemetry counters
 // ---------------------------------------------------------------------
 
-TEST_F(ServiceFixture, MailboxMirrorsCounters) {
-  ReconfigService::Config cfg;
-  cfg.mailbox_base = soc::MemoryMap::kServiceRegs.base;
-  ReconfigService svc(mgr, cfg);
+TEST_F(ServiceFixture, StatsCountCoalescedSubmission) {
+  ReconfigService svc(mgr);
 
   ASSERT_EQ(svc.submit(Req{"sobel", 1}), Status::kOk);
   ASSERT_EQ(svc.submit(Req{"sobel", 2}), Status::kOk);  // coalesces
   EXPECT_EQ(svc.drain(), 1u);
 
-  auto reg = [&](Addr off) {
-    return soc.cpu().load32_uncached(cfg.mailbox_base + off);
-  };
-  using soc::ServiceRegs;
-  EXPECT_EQ(reg(ServiceRegs::kSubmitted), 2u);
-  EXPECT_EQ(reg(ServiceRegs::kAccepted), 1u);
-  EXPECT_EQ(reg(ServiceRegs::kCompleted), 1u);
-  EXPECT_EQ(reg(ServiceRegs::kCoalesced), 1u);
-  EXPECT_EQ(reg(ServiceRegs::kQueueDepth), 0u);
-  EXPECT_EQ(reg(ServiceRegs::kMaxQueueDepth), 1u);
-  EXPECT_EQ(reg(ServiceRegs::kFailed), 0u);
-  EXPECT_EQ(reg(ServiceRegs::kHangs), 0u);
+  const ReconfigService::Stats& st = svc.stats();
+  EXPECT_EQ(st.submitted, 2u);
+  EXPECT_EQ(st.accepted, 1u);
+  EXPECT_EQ(st.completed, 1u);
+  EXPECT_EQ(st.coalesced, 1u);
+  EXPECT_EQ(svc.queue_depth(), 0u);
+  EXPECT_EQ(st.failed, 0u);
+  EXPECT_EQ(st.hangs, 0u);
 }
 
 }  // namespace

@@ -34,8 +34,6 @@
 #include "fabric/frame_ecc.hpp"
 #include "sim/fault_injector.hpp"
 #include "soc/ariane_soc.hpp"
-#include "soc/memory_map.hpp"
-#include "soc/service_regs.hpp"
 
 namespace rvcap {
 namespace {
@@ -46,7 +44,6 @@ using driver::ReconfigService;
 using driver::SlotScheduler;
 using sim::FaultInjector;
 using soc::ArianeSoc;
-using soc::MemoryMap;
 using soc::SocConfig;
 namespace sites = sim::fault_sites;
 
@@ -655,7 +652,7 @@ TEST(SlotOversubscription, AgingLetsAStarvedTaskPreempt) {
 }
 
 // ---------------------------------------------------------------------
-// Journal slot-id attribution and mailbox telemetry
+// Journal slot-id attribution and swap telemetry
 // ---------------------------------------------------------------------
 
 TEST(SlotJournal, ManagerJournalCarriesTheSlotId) {
@@ -689,32 +686,22 @@ TEST(SlotJournal, ManagerJournalCarriesTheSlotId) {
   }
 }
 
-TEST(SlotJournal, MailboxPublishesSlotIdAndSwapCounters) {
+TEST(SlotJournal, StatsCountPreemptiveSwap) {
   SlotWorld w;
-  // Rebuild slot 1's service and the scheduler with the mailbox on.
-  ReconfigService::Config sc;
-  sc.slot_id = 1;
-  sc.mailbox_base = MemoryMap::kServiceRegs.base;
-  w.svcs[1] = std::make_unique<ReconfigService>(*w.mgrs[1], sc);
-  SlotScheduler::Config cc = sched_config();
-  cc.mailbox_base = MemoryMap::kServiceRegs.base;
-  w.rebuild_scheduler(cc);
-
   PreemptScenario scn;
   scn.run(w);
   scn.expect_all_golden(w);
 
-  cpu::CpuContext& cpu = w.drv.cpu_context();
-  const Addr b = MemoryMap::kServiceRegs.base;
-  using soc::ServiceRegs;
-  EXPECT_EQ(cpu.load32_uncached(b + ServiceRegs::kSlotId), 1u);
-  EXPECT_EQ(cpu.load32_uncached(b + ServiceRegs::kSlotTasksSubmitted), 3u);
-  EXPECT_EQ(cpu.load32_uncached(b + ServiceRegs::kSlotTasksCompleted), 3u);
-  EXPECT_EQ(cpu.load32_uncached(b + ServiceRegs::kSlotPreemptions), 1u);
-  EXPECT_EQ(cpu.load32_uncached(b + ServiceRegs::kSlotCaptures), 1u);
-  EXPECT_EQ(cpu.load32_uncached(b + ServiceRegs::kSlotRestores), 1u);
-  EXPECT_EQ(cpu.load32_uncached(b + ServiceRegs::kSlotRollbacks), 0u);
-  EXPECT_EQ(cpu.load32_uncached(b + ServiceRegs::kSlotQueueDepth), 0u);
+  const SlotScheduler::Stats& st = w.sched->stats();
+  EXPECT_EQ(st.submitted, 3u);
+  EXPECT_EQ(st.completed, 3u);
+  EXPECT_EQ(st.preemptions, 1u);
+  EXPECT_EQ(st.captures, 1u);
+  EXPECT_EQ(st.restores, 1u);
+  EXPECT_EQ(st.rollbacks, 0u);
+  for (const auto& t : w.sched->tasks()) {
+    EXPECT_NE(t.state, TaskState::kQueued);
+  }
 }
 
 // ---------------------------------------------------------------------
