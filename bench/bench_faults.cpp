@@ -5,9 +5,7 @@
 // one. Deterministic: one fixed seed drives every injection decision.
 #include "bench_util.hpp"
 #include "common/rng.hpp"
-#include "driver/dpr_manager.hpp"
-#include "driver/hwicap_driver.hpp"
-#include "driver/scrubber.hpp"
+#include "driver/stack.hpp"
 #include "sim/fault_injector.hpp"
 
 using namespace rvcap;
@@ -27,33 +25,22 @@ struct SweepResult {
 SweepResult run_sweep(std::string_view site, double probability, u64 seed,
                       u32 activations) {
   soc::ArianeSoc soc((soc::SocConfig()));
-  driver::RvCapDriver drv(soc.cpu(), soc.plic());
-  driver::Scrubber scrubber(
-      drv, soc.device(),
-      driver::Scrubber::Config{0x8C00'0000, 0x8D00'0000});
   sim::FaultInjector fi(seed);
-  driver::DprManager mgr(drv, soc.config_memory(), soc.rp0_handle(),
-                         nullptr);
-  soc.attach_fault_injector(&fi);
-  mgr.set_fault_injector(&fi);
-  mgr.attach_scrubber(&scrubber, &soc.rp0());
+  driver::Stack::Parts parts;
+  parts.scrubber = driver::Scrubber::Config{};
+  driver::Stack stack(soc, parts, &fi);
+  driver::RvCapDriver& drv = stack.driver();
+  driver::DprManager& mgr = stack.manager();
 
   // A wedged DMA must time out in bounded simulated time.
   auto t = drv.timeouts();
   t.irq_wait_cycles = 3'000'000;
   drv.set_timeouts(t);
 
-  struct Mod { const char* name; u32 id; Addr addr; };
-  const Mod mods[] = {{"sobel", accel::kRmIdSobel, 0x8A00'0000},
-                      {"median", accel::kRmIdMedian, 0x8B00'0000}};
-  for (const Mod& m : mods) {
-    const auto pbit = bitstream::generate_partial_bitstream(
-        soc.device(), soc.rp0(), {m.id, m.name});
-    soc.ddr().poke(m.addr, pbit);
-    if (!ok(mgr.register_staged(m.name, m.id, m.addr,
-                                static_cast<u32>(pbit.size())))) {
-      return {};
-    }
+  const char* const mods[] = {"sobel", "median"};
+  if (!ok(stack.stage(0, mods[0], accel::kRmIdSobel)) ||
+      !ok(stack.stage(0, mods[1], accel::kRmIdMedian))) {
+    return {};
   }
 
   // `probability` is per ACTIVATION: each activate() call is faulted
@@ -78,7 +65,7 @@ SweepResult run_sweep(std::string_view site, double probability, u64 seed,
     }
     const u64 recoveries_before = mgr.stats().recoveries;
     const Cycles t0 = soc.sim().now();
-    const Status st = mgr.activate(mods[i % 2].name);
+    const Status st = mgr.activate(mods[i % 2]);
     const Cycles dt = soc.sim().now() - t0;
     ++r.attempts;
     if (ok(st)) ++r.ok_count;

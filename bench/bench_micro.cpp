@@ -320,10 +320,8 @@ int run_kernel_comparison() {
 // ------------------------------------------------------------------
 
 int run_trace_capture(const char* path) {
-  bench::print_header("Traced DMA reconfiguration -> Chrome trace JSON");
-  if (!obs::trace_compiled_in()) {
-    std::printf("  built with RVCAP_NO_TRACE: event tracing is compiled "
-                "out, nothing to capture\n");
+  if (!bench::begin_trace_capture(
+          "Traced DMA reconfiguration -> Chrome trace JSON")) {
     return 1;
   }
 
@@ -358,14 +356,7 @@ int run_trace_capture(const char* path) {
     std::printf("  ERROR: traced reconfiguration failed\n");
     return 1;
   }
-  if (!obs::write_chrome_trace(soc.sim().obs(), path)) {
-    std::printf("  ERROR: could not write %s\n", path);
-    return 1;
-  }
-  const obs::TraceSink& sink = soc.sim().obs().sink();
-  std::printf("  wrote %s (%llu events emitted, %zu retained)\n", path,
-              static_cast<unsigned long long>(sink.total_events()),
-              sink.events().size());
+  if (!bench::write_trace(soc, path)) return 1;
   std::printf("\n%s", obs::stats_text(soc.sim().obs()).c_str());
   return 0;
 }

@@ -23,17 +23,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "common/rng.hpp"
-#include "driver/bitstream_source.hpp"
-#include "driver/dpr_manager.hpp"
-#include "driver/reconfig_service.hpp"
+#include "driver/stack.hpp"
 #include "net/net_fetcher.hpp"
-#include "obs/export.hpp"
 #include "sim/fault_injector.hpp"
 
 using namespace rvcap;
@@ -113,15 +109,7 @@ CellResult run_cell(const Cell& cell, u64 seed,
   soc::SocConfig scfg;
   scfg.with_net = true;
   soc::ArianeSoc soc(scfg);
-  if (trace_path != nullptr) {
-    // The dense ICAP word stream of the final activation would roll the
-    // default 32K ring past every Net event; keep the whole run.
-    soc.sim().obs().sink().set_capacity(usize{1} << 21);
-    soc.sim().obs().sink().set_enabled(true);
-  }
-  driver::RvCapDriver drv(soc.cpu(), soc.plic());
   sim::FaultInjector fi(seed);
-  soc.attach_fault_injector(&fi);
 
   net::NetFetcher::Config fcfg;
   if (cell.link_down) {
@@ -133,21 +121,18 @@ CellResult run_cell(const Cell& cell, u64 seed,
   }
   net::NetFetcher fetcher(soc.cpu(), soc.net_link(), fcfg);
   TimedNetSource net_src(soc.cpu(), fetcher);
-  driver::BitstreamCache::Config ccfg;
-  ccfg.base = 0x8E00'0000;  // clear of the manager's staging slots
-  driver::BitstreamCache cache(soc.cpu(), ccfg);
-  driver::BitstreamDelivery delivery(soc.cpu());
-  delivery.set_primary(&net_src);
-  if (cell.cache) delivery.attach_cache(&cache);
 
   // Two staging slots under three modules: the LRU thrash forces later
   // activations back through the delivery chain.
-  driver::DprManager::Config mcfg;
-  mcfg.num_slots = 2;
-  driver::DprManager mgr(drv, soc.config_memory(), soc.rp0_handle(),
-                         nullptr, mcfg);
-  mgr.set_fault_injector(&fi);
-  mgr.attach_source(&delivery);
+  driver::Stack::Parts parts;
+  parts.manager.num_slots = 2;
+  parts.service.queue_capacity = 4;
+  if (cell.cache) parts.cache = driver::BitstreamCache::Config{};
+  driver::Stack stack(bench::trace_all(soc, trace_path != nullptr), parts,
+                      &fi);
+  driver::BitstreamDelivery& delivery = *stack.delivery();
+  delivery.set_primary(&net_src);
+  driver::DprManager& mgr = stack.manager();
 
   const u32 rm_ids[] = {accel::kRmIdSobel, accel::kRmIdMedian,
                         accel::kRmIdGaussian};
@@ -166,9 +151,7 @@ CellResult run_cell(const Cell& cell, u64 seed,
   if (cell.corrupt > 0.0) fi.arm(sites::kNetCorrupt, 0, cell.corrupt);
   if (cell.link_down) soc.net_link().set_down(true);
 
-  ReconfigService::Config cfg;
-  cfg.queue_capacity = 4;
-  ReconfigService svc(mgr, cfg);
+  ReconfigService& svc = stack.service();
 
   SplitMix64 rng(seed ^ 0x0BEEF);
   CellResult r;
@@ -197,8 +180,10 @@ CellResult run_cell(const Cell& cell, u64 seed,
   r.retries = fetcher.chunk_retries();
   r.timeouts = fetcher.chunk_timeouts();
   r.crc_errors = fetcher.chunk_crc_errors();
-  r.cache_hits = cache.hits();
-  r.cache_poisoned = cache.poisoned();
+  if (const driver::BitstreamCache* cache = stack.cache()) {
+    r.cache_hits = cache->hits();
+    r.cache_poisoned = cache->poisoned();
+  }
   r.delivery_failures = delivery.failures();
   r.breaker_trips = fetcher.breaker_trips();
   const u64 attempted = r.fetches_ok + r.fetches_failed;
@@ -228,17 +213,8 @@ CellResult run_cell(const Cell& cell, u64 seed,
   }
   if (terminal_of_accepted != st.accepted) r.all_terminal = false;
 
-  if (trace_path != nullptr) {
-    if (!obs::write_chrome_trace(soc.sim().obs(), trace_path)) {
-      std::printf("  ERROR: could not write %s\n", trace_path);
-      r.all_terminal = false;
-    } else {
-      const obs::TraceSink& sink = soc.sim().obs().sink();
-      std::printf("  wrote %s (%llu events emitted, %zu retained)\n",
-                  trace_path,
-                  static_cast<unsigned long long>(sink.total_events()),
-                  sink.events().size());
-    }
+  if (trace_path != nullptr && !bench::write_trace(soc, trace_path)) {
+    r.all_terminal = false;
   }
   return r;
 }
@@ -248,10 +224,8 @@ CellResult run_cell(const Cell& cell, u64 seed,
 // ------------------------------------------------------------------
 
 int run_trace_capture(const char* path) {
-  bench::print_header("Traced lossy networked delivery -> Chrome trace JSON");
-  if (!obs::trace_compiled_in()) {
-    std::printf("  built with RVCAP_NO_TRACE: event tracing is compiled "
-                "out, nothing to capture\n");
+  if (!bench::begin_trace_capture(
+          "Traced lossy networked delivery -> Chrome trace JSON")) {
     return 1;
   }
   const Cell cell{"trace-5%", 0.05, 0.01, /*cache=*/true,
@@ -272,14 +246,7 @@ int run_trace_capture(const char* path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* trace_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace") == 0) {
-      trace_path = "net_trace.json";
-    } else if (std::strncmp(argv[i], "--trace=", 8) == 0) {
-      trace_path = argv[i] + 8;
-    }
-  }
+  const char* trace_path = bench::trace_arg(argc, argv, "net_trace.json");
   if (trace_path != nullptr) return run_trace_capture(trace_path);
 
   bench::print_header(
@@ -363,14 +330,7 @@ int main(int argc, char** argv) {
   json += lossy_fetches_ok ? "true" : "false";
   json += "\n}";
 
-  const char* path = std::getenv("BENCH_NET_JSON");
-  if (path == nullptr) path = "BENCH_net.json";
-  if (std::FILE* f = std::fopen(path, "w")) {
-    std::fputs(json.c_str(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
-    std::printf("\nwrote %s\n", path);
-  }
+  bench::write_ledger(json + "\n", "BENCH_NET_JSON", "BENCH_net.json");
   std::printf("\n--- JSON report ---\n%s\n", json.c_str());
 
   if (!all_terminal) {

@@ -30,40 +30,24 @@
 // Place track carries request/relocate/hit/migrate/compact/span
 // events; CI lints it with `trace-lint --require=Place`.
 #include <cstdlib>
-#include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "accel/fir_filter.hpp"
-#include "accel/stream_cipher.hpp"
 #include "bench_util.hpp"
-#include "bitstream/generator.hpp"
 #include "common/rng.hpp"
-#include "driver/dpr_manager.hpp"
-#include "driver/placement_engine.hpp"
-#include "driver/reconfig_service.hpp"
-#include "driver/slot_scheduler.hpp"
-#include "obs/export.hpp"
+#include "driver/stack.hpp"
 #include "sim/fault_injector.hpp"
 
 using namespace rvcap;
 
 namespace {
 
-using driver::DprManager;
 using driver::PlacementEngine;
-using driver::ReconfigService;
 using driver::SlotScheduler;
-using Task = SlotScheduler::HwTask;
 using TaskState = SlotScheduler::TaskState;
 
-constexpr Addr kGoldenBase = 0xA000'0000;    // home (source) pbits
-constexpr Addr kRelocArena = 0x9400'0000;    // materialized variants
-constexpr Addr kCaptureArena = 0x9800'0000;
-constexpr Addr kRestoreStaging = 0x9E00'0000;
-constexpr Addr kCmdStaging = 0x9F00'0000;    // + slot * 0x10000
-constexpr Addr kDataBase = 0xB000'0000;      // + task * 0x20000
+// Task i reads kDataBase + i * 0x20000 and writes the 64 KiB above it.
+const Addr kDataBase = driver::DdrLayout::base(driver::DdrLayout::kTaskData);
 constexpr u32 kChunk = 512;
 
 struct Cell {
@@ -92,112 +76,29 @@ struct CellResult {
   u32 lost = 0;
 };
 
-struct PendingTask {
-  SlotScheduler::TaskId id = 0;
-  bool fir = false;        // else cipher
-  u64 key = 0;
-  Addr src = 0, dst = 0;
-  u32 bytes = 0;
-};
-
-/// The full placement stack of one cell: per-slot manager/service
-/// pairs under one scheduler, ONE engine holding the module catalogue.
-struct World {
-  soc::ArianeSoc soc;
-  driver::RvCapDriver drv;
-  sim::FaultInjector fi;
-  std::vector<std::unique_ptr<DprManager>> mgrs;
-  std::vector<std::unique_ptr<ReconfigService>> svcs;
-  std::unique_ptr<PlacementEngine> engine;
-  std::unique_ptr<SlotScheduler> sched;
-  u32 staged = 0;
-
+/// One cell: per-slot manager/service pairs under one scheduler, ONE
+/// engine holding the module catalogue. Each module is registered
+/// once, against its home region: every other slot is served by
+/// relocation, never by per-slot staging.
+struct World : bench::ServingWorld {
   World(u32 num_slots, u32 queue_capacity, u64 seed, bool traced)
-      : soc([&] {
-          soc::SocConfig cfg;
-          cfg.num_slots = num_slots;
-          return cfg;
-        }()),
-        drv(soc.cpu(), soc.plic()), fi(seed) {
-    if (traced) {
-      soc.sim().obs().sink().set_capacity(usize{1} << 21);
-      soc.sim().obs().sink().set_enabled(true);
-    }
-    soc.attach_fault_injector(&fi);
-    for (u32 s = 0; s < num_slots; ++s) {
-      DprManager::Config mc;
-      mc.staging_base = 0x8E00'0000 + u64{s} * 0x0100'0000;
-      mc.slot_id = s;
-      mgrs.push_back(std::make_unique<DprManager>(
-          drv, soc.config_memory(), soc.slot_handle(s), nullptr, mc));
-      mgrs.back()->set_fault_injector(&fi);
-      ReconfigService::Config sc;
-      sc.slot_id = s;
-      svcs.push_back(std::make_unique<ReconfigService>(*mgrs[s], sc));
-    }
-    PlacementEngine::Config ec;
-    ec.reloc_arena = kRelocArena;
-    engine = std::make_unique<PlacementEngine>(drv, soc.allocator(), ec);
-    // Register each module ONCE, against its home region: every other
-    // slot is served by relocation, never by per-slot staging.
-    stage("cipher", accel::kRmIdCipher);
-    stage("fir", accel::kRmIdFir);
-    SlotScheduler::Config cc;
-    cc.queue_capacity = queue_capacity;
-    cc.capture_arena = kCaptureArena;
-    cc.capture_areas = 4;
-    cc.restore_staging = kRestoreStaging;
-    cc.default_chunk_bytes = kChunk;
-    cc.aging_quantum_mtime = 0;
-    sched = std::make_unique<SlotScheduler>(drv, cc);
-    sched->set_fault_injector(&fi);
-    for (u32 s = 0; s < num_slots; ++s) {
-      sched->add_slot({s, svcs[s].get(), mgrs[s].get(), &soc.slot_rm(s),
-                       &soc.config_memory(), soc.slot_handle(s),
-                       kCmdStaging + u64{s} * 0x10000});
-    }
-    sched->attach_placement(engine.get());
+      : ServingWorld(num_slots, queue_capacity, kChunk, seed, traced,
+                     parts()) {
+    stack.stage_home("cipher", accel::kRmIdCipher);
+    stack.stage_home("fir", accel::kRmIdFir);
   }
 
-  void stage(const char* name, u32 rm_id) {
-    const auto pbit = bitstream::generate_partial_bitstream(
-        soc.device(), soc.slot_partition(0), {rm_id, name});
-    const Addr addr = kGoldenBase + u64{staged} * 0x0010'0000;
-    ++staged;
-    soc.ddr().poke(addr, pbit);
-    engine->register_module(name, rm_id, /*home_region=*/0, addr,
-                            static_cast<u32>(pbit.size()));
+  static driver::Stack::Parts parts() {
+    driver::Stack::Parts p;
+    p.placement = PlacementEngine::Config{};
+    return p;
   }
+
+  PlacementEngine* engine = stack.placement();
 };
 
-std::vector<u8> cipher_golden(std::span<const u8> plain, u64 key) {
-  std::vector<u8> out(plain.size());
-  for (u32 off = 0; off < plain.size(); off += kChunk) {
-    const u32 n = std::min<u32>(kChunk, static_cast<u32>(plain.size()) - off);
-    for (u32 beat = 0; beat < n / 8; ++beat) {
-      u64 p = 0;
-      std::memcpy(&p, plain.data() + off + beat * 8, 8);
-      const u64 c = p ^ accel::StreamCipher::keystream(key, beat);
-      std::memcpy(out.data() + off + beat * 8, &c, 8);
-    }
-  }
-  return out;
-}
-
-std::vector<u8> fir_golden(std::span<const u8> in) {
-  const auto coeffs = accel::fir_passthrough_coeffs();
-  std::vector<u8> out(in.size());
-  for (u32 off = 0; off < in.size(); off += kChunk) {
-    std::vector<i16> samples(kChunk / 2);
-    std::memcpy(samples.data(), in.data() + off, kChunk);
-    const auto filtered = accel::fir_reference(samples, coeffs);
-    std::memcpy(out.data() + off, filtered.data(), kChunk);
-  }
-  return out;
-}
-
-PendingTask make_task(World& w, u32 i, SplitMix64& rng, u32 bytes) {
-  PendingTask p;
+bench::StreamTask make_task(World& w, u32 i, SplitMix64& rng, u32 bytes) {
+  bench::StreamTask p;
   p.fir = (rng.next_below(2) == 1);
   p.key = rng.next();
   p.src = kDataBase + u64{i} * 0x20000;
@@ -207,44 +108,20 @@ PendingTask make_task(World& w, u32 i, SplitMix64& rng, u32 bytes) {
   for (auto& b : in) b = rng.next_byte();
   w.soc.ddr().poke(p.src, in);
 
-  Task t;
-  t.priority = 1;
-  t.src = p.src;
-  t.dst = p.dst;
-  t.total_bytes = p.bytes;
-  if (p.fir) {
-    t.module = "fir";
-    t.rm_id = accel::kRmIdFir;
-    const auto coeffs = accel::fir_passthrough_coeffs();
-    for (u32 k = 0; k + 1 < coeffs.size(); k += 2) {
-      const u32 lo = static_cast<u16>(coeffs[k]);
-      const u32 hi = static_cast<u16>(coeffs[k + 1]);
-      t.setup_regs.push_back({k / 2, (hi << 16) | lo});
-    }
-  } else {
-    t.module = "cipher";
-    t.rm_id = accel::kRmIdCipher;
-    t.setup_regs = {{0, static_cast<u32>(p.key)},
-                    {1, static_cast<u32>(p.key >> 32)}};
-  }
-  if (ok(w.sched->submit(t, &p.id))) return p;
+  if (ok(w.sched->submit(p.task(/*priority=*/1), &p.id))) return p;
   p.id = 0;
   return p;
 }
 
-void audit(World& w, const std::vector<PendingTask>& tasks, CellResult* r) {
-  for (const PendingTask& p : tasks) {
+void audit(World& w, const std::vector<bench::StreamTask>& tasks,
+           CellResult* r) {
+  for (const bench::StreamTask& p : tasks) {
     const auto* rec = w.sched->task(p.id);
     if (rec == nullptr || rec->state != TaskState::kCompleted) {
       ++r->lost;
-      continue;
+    } else if (!p.golden(w.soc, kChunk)) {
+      ++r->corrupted;
     }
-    std::vector<u8> in(p.bytes), out(p.bytes);
-    w.soc.ddr().peek(p.src, in);
-    w.soc.ddr().peek(p.dst, out);
-    const std::vector<u8> want =
-        p.fir ? fir_golden(in) : cipher_golden(in, p.key);
-    if (out != want) ++r->corrupted;
   }
   const auto& es = w.engine->stats();
   r->requests = es.requests;
@@ -270,12 +147,12 @@ CellResult run_cell(const Cell& cell, u64 seed,
 
   // Mixed long/short load offered up front: short tasks vacate their
   // slots early, splintering the free space around the long residents.
-  std::vector<PendingTask> tasks;
+  std::vector<bench::StreamTask> tasks;
   for (u32 i = 0; i < cell.load; ++i) {
     const u32 bytes = (i % 2 == 0)
                           ? (16 + static_cast<u32>(rng.next_below(17))) * kChunk
                           : (2 + static_cast<u32>(rng.next_below(3))) * kChunk;
-    PendingTask p = make_task(w, i, rng, bytes);
+    bench::StreamTask p = make_task(w, i, rng, bytes);
     if (p.id != 0) {
       tasks.push_back(p);
       ++r.offered;
@@ -311,17 +188,8 @@ CellResult run_cell(const Cell& cell, u64 seed,
 
   audit(w, tasks, &r);
 
-  if (trace_path != nullptr) {
-    if (!obs::write_chrome_trace(w.soc.sim().obs(), trace_path)) {
-      std::printf("  ERROR: could not write %s\n", trace_path);
-      ++r.lost;
-    } else {
-      const obs::TraceSink& sink = w.soc.sim().obs().sink();
-      std::printf("  wrote %s (%llu events emitted, %zu retained)\n",
-                  trace_path,
-                  static_cast<unsigned long long>(sink.total_events()),
-                  sink.events().size());
-    }
+  if (trace_path != nullptr && !bench::write_trace(w.soc, trace_path)) {
+    ++r.lost;
   }
   return r;
 }
@@ -347,10 +215,10 @@ Headline run_headline(u64 seed) {
   // finish early, leaving two free singletons that no width-2 window
   // can cover. Shorts are 2 chunks so every slot stays occupied until
   // all four tasks have been placed.
-  std::vector<PendingTask> tasks;
+  std::vector<bench::StreamTask> tasks;
   for (u32 i = 0; i < 4; ++i) {
     const u32 bytes = (i % 2 == 0) ? 64 * kChunk : 2 * kChunk;
-    PendingTask p = make_task(w, i, rng, bytes);
+    bench::StreamTask p = make_task(w, i, rng, bytes);
     if (p.id != 0) tasks.push_back(p);
   }
   for (int guard = 0; guard < 64; ++guard) {
@@ -386,10 +254,8 @@ Headline run_headline(u64 seed) {
 // ------------------------------------------------------------------
 
 int run_trace_capture(const char* path) {
-  bench::print_header("Traced relocating placement -> Chrome trace JSON");
-  if (!obs::trace_compiled_in()) {
-    std::printf("  built with RVCAP_NO_TRACE: event tracing is compiled "
-                "out, nothing to capture\n");
+  if (!bench::begin_trace_capture(
+          "Traced relocating placement -> Chrome trace JSON")) {
     return 1;
   }
   const Cell cell{"trace", 3, 6, /*wide_every=*/16, /*compaction=*/true};
@@ -412,14 +278,7 @@ int run_trace_capture(const char* path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* trace_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace") == 0) {
-      trace_path = "place_trace.json";
-    } else if (std::strncmp(argv[i], "--trace=", 8) == 0) {
-      trace_path = argv[i] + 8;
-    }
-  }
+  const char* trace_path = bench::trace_arg(argc, argv, "place_trace.json");
   if (trace_path != nullptr) return run_trace_capture(trace_path);
 
   bench::print_header(
@@ -518,14 +377,7 @@ int main(int argc, char** argv) {
   json += safe ? "true" : "false";
   json += "\n}";
 
-  const char* path = std::getenv("BENCH_PLACE_JSON");
-  if (path == nullptr) path = "BENCH_place.json";
-  FILE* f = std::fopen(path, "w");
-  if (f != nullptr) {
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("\nwrote %s\n", path);
-  }
+  bench::write_ledger(json, "BENCH_PLACE_JSON", "BENCH_place.json");
 
   if (!safe || !h.rejected_without || !h.granted_with) {
     std::printf("\nERROR: a task was lost/corrupted, a relocation failed, "

@@ -23,23 +23,15 @@
 // append/boot-scan/verdict/reload/ready events; CI lints it with
 // `trace-lint --require=Recovery`.
 #include <cstdlib>
-#include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "bitstream/generator.hpp"
-#include "driver/dpr_manager.hpp"
-#include "driver/recovery_journal.hpp"
 #include "driver/recovery_manager.hpp"
-#include "driver/reconfig_service.hpp"
-#include "driver/spi_sd.hpp"
-#include "obs/export.hpp"
+#include "driver/stack.hpp"
 #include "sim/fault_injector.hpp"
 #include "sim/power_loss.hpp"
-#include "soc/ariane_soc.hpp"
-#include "storage/fat32.hpp"
 #include "storage/sd_card.hpp"
 
 using namespace rvcap;
@@ -47,7 +39,6 @@ namespace sites = sim::fault_sites;
 
 namespace {
 
-using driver::DprManager;
 using driver::ReconfigService;
 using driver::RecoveryJournal;
 using driver::RecoveryManager;
@@ -104,61 +95,40 @@ void provision(storage::SdCard& card) {
   (void)j.reset();
 }
 
-// One boot of the full stack over the surviving card.
+// One boot of the full stack over the surviving card: SD-backed
+// modules on a small partition, the intent journal on the card's tail.
 struct Boot {
   Boot(storage::SdCard& card, sim::FaultInjector* fi, bool traced)
-      : part(small_partition()) {
-    soc::SocConfig cfg;
-    cfg.external_sd = &card;
-    soc = std::make_unique<soc::ArianeSoc>(cfg);
-    if (traced) {
-      soc->sim().obs().sink().set_capacity(usize{1} << 21);
-      soc->sim().obs().sink().set_enabled(true);
-    }
-    handle = soc->add_partition(part);
-    if (fi != nullptr) soc->attach_fault_injector(fi);
-    drv = std::make_unique<driver::RvCapDriver>(soc->cpu(), soc->plic());
-    sd = std::make_unique<driver::SpiSdDriver>(soc->cpu());
-    sd_ok = ok(sd->init_card());
-    io = std::make_unique<driver::CpuBlockIo>(*sd, card.block_count());
-    vol = std::make_unique<storage::Fat32Volume>(*io);
-    if (sd_ok) sd_ok = ok(vol->mount());
-    journal = std::make_unique<RecoveryJournal>(*io, journal_region());
-    journal->set_fault_injector(fi);
-    journal->bind_trace(&soc->sim().obs().sink(), soc->sim().now_ptr());
-    DprManager::Config mcfg;
-    mcfg.slot_bytes = 64 * 1024;
-    mcfg.num_slots = 2;
-    mgr = std::make_unique<DprManager>(*drv, soc->config_memory(), handle,
-                                       vol.get(), mcfg);
-    mgr->set_fault_injector(fi);
+      : soc([&] {
+          soc::SocConfig cfg;
+          cfg.external_sd = &card;
+          return cfg;
+        }()),
+        stack(bench::trace_all(soc, traced), parts(), fi, &rp) {
     for (u32 id : {40u, 41u, 42u}) {
-      (void)mgr->register_module("m" + std::to_string(id), id,
-                                 "M" + std::to_string(id) + ".PB");
+      (void)stack.manager().register_module(
+          "m" + std::to_string(id), id, "M" + std::to_string(id) + ".PB");
     }
-    mgr->attach_intent_journal(journal.get());
-    svc = std::make_unique<ReconfigService>(*mgr);
-    svc->attach_intent_journal(journal.get());
+  }
+
+  static driver::Stack::Parts parts() {
+    driver::Stack::Parts p;
+    p.manager.slot_bytes = 64 * 1024;
+    p.manager.num_slots = 2;
+    p.journal = journal_region();
+    return p;
   }
 
   void request(u32 rm_id) {
     ReconfigService::ActivationRequest req;
     req.module = "m" + std::to_string(rm_id);
     req.priority = 1;
-    if (ok(svc->submit(req))) svc->drain();
+    if (ok(stack.service().submit(req))) stack.service().drain();
   }
 
-  fabric::Partition part;
-  usize handle = 0;
-  bool sd_ok = false;
-  std::unique_ptr<soc::ArianeSoc> soc;
-  std::unique_ptr<driver::RvCapDriver> drv;
-  std::unique_ptr<driver::SpiSdDriver> sd;
-  std::unique_ptr<driver::CpuBlockIo> io;
-  std::unique_ptr<storage::Fat32Volume> vol;
-  std::unique_ptr<RecoveryJournal> journal;
-  std::unique_ptr<DprManager> mgr;
-  std::unique_ptr<ReconfigService> svc;
+  const fabric::Partition rp = small_partition();
+  soc::ArianeSoc soc;
+  driver::Stack stack;
 };
 
 void workload(Boot& b) {
@@ -172,9 +142,9 @@ u64 baseline_span() {
   storage::SdCard card(kCardBlocks);
   provision(card);
   Boot b(card, nullptr, false);
-  if (!b.sd_ok) return 0;
+  if (!b.stack.storage_ready()) return 0;
   workload(b);
-  return b.soc->sim().now();
+  return b.soc.sim().now();
 }
 
 CellResult run_cell(const Cell& cell, u64 span,
@@ -189,17 +159,17 @@ CellResult run_cell(const Cell& cell, u64 span,
   if (cell.corrupt) fi.arm(sites::kJournalCorrupt, 2);
   {
     Boot b(card, &fi, false);
-    if (!b.sd_ok) return r;
+    if (!b.stack.storage_ready()) return r;
     sim::PowerLoss power;
-    b.soc->sim().add(&power);
+    b.soc.sim().add(&power);
     power.on_trip([&] { card.power_fail(); });
     const Cycles trip =
         static_cast<Cycles>(static_cast<double>(span) * cell.frac);
     power.arm_at(trip);
     workload(b);
     if (!power.tripped()) {
-      const Cycles now = b.soc->sim().now();
-      b.soc->sim().run_cycles(trip > now ? trip - now + 1 : 1);
+      const Cycles now = b.soc.sim().now();
+      b.soc.sim().run_cycles(trip > now ? trip - now + 1 : 1);
     }
     r.trip_cycle = power.trip_cycle();
   }  // SoC destroyed: DDR/fabric/driver state gone, only the card survives
@@ -207,9 +177,9 @@ CellResult run_cell(const Cell& cell, u64 span,
   // Recovery boot.
   card.power_on();
   Boot b(card, nullptr, trace_path != nullptr);
-  if (!b.sd_ok) return r;
-  RecoveryManager rman(b.soc->cpu(), *b.journal);
-  rman.add_slot(0, b.mgr.get(), b.svc.get());
+  if (!b.stack.storage_ready()) return r;
+  RecoveryManager rman(b.soc.cpu(), *b.stack.journal());
+  rman.add_slot(0, &b.stack.manager(), &b.stack.service());
   RecoveryManager::Report rep;
   const Status st = rman.recover(&rep);
   r.records = rep.journal.valid_records;
@@ -225,17 +195,8 @@ CellResult run_cell(const Cell& cell, u64 span,
   r.ready_cycles = rep.ready_cycles;
   r.recovered = ok(st) && rep.all_verified;
 
-  if (trace_path != nullptr) {
-    if (!obs::write_chrome_trace(b.soc->sim().obs(), trace_path)) {
-      std::printf("  ERROR: could not write %s\n", trace_path);
-      r.recovered = false;
-    } else {
-      const obs::TraceSink& sink = b.soc->sim().obs().sink();
-      std::printf("  wrote %s (%llu events emitted, %zu retained)\n",
-                  trace_path,
-                  static_cast<unsigned long long>(sink.total_events()),
-                  sink.events().size());
-    }
+  if (trace_path != nullptr && !bench::write_trace(b.soc, trace_path)) {
+    r.recovered = false;
   }
   return r;
 }
@@ -245,10 +206,8 @@ CellResult run_cell(const Cell& cell, u64 span,
 // ------------------------------------------------------------------
 
 int run_trace_capture(const char* path) {
-  bench::print_header("Traced power-loss recovery -> Chrome trace JSON");
-  if (!obs::trace_compiled_in()) {
-    std::printf("  built with RVCAP_NO_TRACE: event tracing is compiled "
-                "out, nothing to capture\n");
+  if (!bench::begin_trace_capture(
+          "Traced power-loss recovery -> Chrome trace JSON")) {
     return 1;
   }
   const u64 span = baseline_span();
@@ -273,14 +232,7 @@ int run_trace_capture(const char* path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* trace_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace") == 0) {
-      trace_path = "recovery_trace.json";
-    } else if (std::strncmp(argv[i], "--trace=", 8) == 0) {
-      trace_path = argv[i] + 8;
-    }
-  }
+  const char* trace_path = bench::trace_arg(argc, argv, "recovery_trace.json");
   if (trace_path != nullptr) return run_trace_capture(trace_path);
 
   bench::print_header(
@@ -350,14 +302,7 @@ int main(int argc, char** argv) {
   json += all_recovered ? "true" : "false";
   json += "\n}";
 
-  const char* path = std::getenv("BENCH_RECOVERY_JSON");
-  if (path == nullptr) path = "BENCH_recovery.json";
-  FILE* f = std::fopen(path, "w");
-  if (f != nullptr) {
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("\nwrote %s\n", path);
-  }
+  bench::write_ledger(json, "BENCH_RECOVERY_JSON", "BENCH_recovery.json");
 
   if (!all_recovered) {
     std::printf("\nERROR: a reboot left a slot unverified — power-loss "

@@ -10,9 +10,7 @@
 #include <string>
 
 #include "bench_util.hpp"
-#include "driver/dpr_manager.hpp"
-#include "driver/reconfig_service.hpp"
-#include "driver/scrub_service.hpp"
+#include "driver/stack.hpp"
 #include "fabric/seu_process.hpp"
 #include "sim/fault_injector.hpp"
 
@@ -51,26 +49,14 @@ CellResult run_cell(u64 mean_cycles, u32 frames_per_slice, u32 upset_budget,
   r.frames_per_slice = frames_per_slice;
 
   soc::ArianeSoc soc((soc::SocConfig()));
-  driver::RvCapDriver drv(soc.cpu(), soc.plic());
   sim::FaultInjector fi(seed);
-  soc.attach_fault_injector(&fi);
-  driver::DprManager mgr(drv, soc.config_memory(), soc.rp0_handle(),
-                         nullptr);
-  mgr.set_fault_injector(&fi);
-  const auto pbit = bitstream::generate_partial_bitstream(
-      soc.device(), soc.rp0(), {accel::kRmIdSobel, "sobel"});
-  soc.ddr().poke(0x8A00'0000, pbit);
-  if (!ok(mgr.register_staged("sobel", accel::kRmIdSobel, 0x8A00'0000,
-                              static_cast<u32>(pbit.size())))) {
-    return r;
-  }
-
-  driver::ReconfigService svc(mgr, driver::ReconfigService::Config{});
-  driver::ScrubService::Config sc;
-  sc.cmd_staging = 0x8C00'0000;
-  sc.rb_buffer = 0x8D00'0000;
-  sc.frames_per_slice = frames_per_slice;
-  driver::ScrubService scrub(drv, soc.config_memory(), svc, sc);
+  driver::Stack::Parts parts;
+  parts.scrub = driver::ScrubService::Config{};
+  parts.scrub->frames_per_slice = frames_per_slice;
+  driver::Stack stack(soc, parts, &fi);
+  if (!ok(stack.stage(0, "sobel", accel::kRmIdSobel))) return r;
+  driver::ReconfigService& svc = stack.service();
+  driver::ScrubService& scrub = *stack.scrub();
   scrub.watch_partition(soc.rp0_handle(), "sobel");
   scrub.install_upset_feed();
 
@@ -194,15 +180,7 @@ int main() {
   json += all_ok ? "true" : "false";
   json += "\n}\n";
 
-  const char* path = std::getenv("BENCH_SCRUB_JSON");
-  if (path == nullptr) path = "BENCH_scrub.json";
-  if (std::FILE* f = std::fopen(path, "w")) {
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("\nwrote %s\n", path);
-  } else {
-    std::printf("\nWARNING: could not open %s for writing\n", path);
-  }
+  bench::write_ledger(json, "BENCH_SCRUB_JSON", "BENCH_scrub.json");
 
   if (!all_ok) {
     std::printf("\nERROR: a cell left an essential upset unrepaired past "

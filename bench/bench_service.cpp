@@ -10,9 +10,7 @@
 
 #include "bench_util.hpp"
 #include "common/rng.hpp"
-#include "driver/dpr_manager.hpp"
-#include "driver/reconfig_service.hpp"
-#include "driver/scrubber.hpp"
+#include "driver/stack.hpp"
 #include "sim/fault_injector.hpp"
 
 using namespace rvcap;
@@ -51,16 +49,13 @@ double percentile(std::vector<u64>& v, double p) {
 
 CellResult run_cell(u32 burst_size, u32 bursts, double fault_rate, u64 seed) {
   soc::ArianeSoc soc((soc::SocConfig()));
-  driver::RvCapDriver drv(soc.cpu(), soc.plic());
-  driver::Scrubber scrubber(
-      drv, soc.device(),
-      driver::Scrubber::Config{0x8C00'0000, 0x8D00'0000});
   sim::FaultInjector fi(seed);
-  driver::DprManager mgr(drv, soc.config_memory(), soc.rp0_handle(),
-                         nullptr);
-  soc.attach_fault_injector(&fi);
-  mgr.set_fault_injector(&fi);
-  mgr.attach_scrubber(&scrubber, &soc.rp0());
+  driver::Stack::Parts parts;
+  parts.scrubber = driver::Scrubber::Config{};
+  parts.service.queue_capacity = 4;
+  driver::Stack stack(soc, parts, &fi);
+  driver::RvCapDriver& drv = stack.driver();
+  driver::DprManager& mgr = stack.manager();
   // Bounded runs: skip the slow post-recovery readback scrub.
   driver::DprManager::RecoveryPolicy pol;
   pol.scrub_after_recovery = false;
@@ -75,14 +70,7 @@ CellResult run_cell(u32 burst_size, u32 bursts, double fault_rate, u64 seed) {
                         accel::kRmIdFir};
   for (u32 i = 0; i < 5; ++i) {
     const std::string name = "m" + std::to_string(i);
-    const auto pbit = bitstream::generate_partial_bitstream(
-        soc.device(), soc.rp0(), {rm_ids[i], name});
-    const Addr addr = 0x8800'0000 + u64{i} * 0x0020'0000;
-    soc.ddr().poke(addr, pbit);
-    if (!ok(mgr.register_staged(name, rm_ids[i], addr,
-                                static_cast<u32>(pbit.size())))) {
-      return {};
-    }
+    if (!ok(stack.stage(0, name, rm_ids[i]))) return {};
     mods.push_back(name);
   }
 
@@ -95,11 +83,7 @@ CellResult run_cell(u32 burst_size, u32 bursts, double fault_rate, u64 seed) {
     fi.arm(sites::kIcapSyncLoss, 2, fault_rate / 2);
   }
 
-  ReconfigService::Config cfg;
-  cfg.queue_capacity = 4;
-  cfg.watchdog_interval_ticks = 50;
-  cfg.watchdog_stall_polls = 4;
-  ReconfigService svc(mgr, cfg);
+  ReconfigService& svc = stack.service();
 
   SplitMix64 rng(seed ^ 0x5EED'F00D);
   CellResult r;

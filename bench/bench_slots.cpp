@@ -24,20 +24,12 @@
 // track carries the place/preempt/capture/restore/rollback events; CI
 // lints it with `trace-lint --require=Slot`.
 #include <cstdlib>
-#include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "accel/fir_filter.hpp"
-#include "accel/stream_cipher.hpp"
 #include "bench_util.hpp"
-#include "bitstream/generator.hpp"
 #include "common/rng.hpp"
-#include "driver/dpr_manager.hpp"
-#include "driver/reconfig_service.hpp"
-#include "driver/slot_scheduler.hpp"
-#include "obs/export.hpp"
+#include "driver/stack.hpp"
 #include "sim/fault_injector.hpp"
 
 using namespace rvcap;
@@ -45,17 +37,11 @@ namespace sites = sim::fault_sites;
 
 namespace {
 
-using driver::DprManager;
-using driver::ReconfigService;
 using driver::SlotScheduler;
-using Task = SlotScheduler::HwTask;
 using TaskState = SlotScheduler::TaskState;
 
-constexpr Addr kGoldenBase = 0xA000'0000;    // per-slot golden pbits
-constexpr Addr kCaptureArena = 0x9800'0000;
-constexpr Addr kRestoreStaging = 0x9E00'0000;
-constexpr Addr kCmdStaging = 0x9F00'0000;    // + slot * 0x10000
-constexpr Addr kDataBase = 0xB000'0000;      // + task * 0x20000
+// Task i reads kDataBase + i * 0x20000 and writes the 64 KiB above it.
+const Addr kDataBase = driver::DdrLayout::base(driver::DdrLayout::kTaskData);
 constexpr u32 kChunk = 512;
 
 struct Cell {
@@ -84,100 +70,17 @@ struct CellResult {
   u32 lost = 0;           // tasks that never reached kCompleted
 };
 
-struct PendingTask {
-  SlotScheduler::TaskId id = 0;
-  bool fir = false;       // else cipher
-  u64 key = 0;
-  Addr src = 0, dst = 0;
-  u32 bytes = 0;
-};
-
-/// The full multi-slot stack of one cell, owned in construction order.
-struct World {
-  soc::ArianeSoc soc;
-  driver::RvCapDriver drv;
-  sim::FaultInjector fi;
-  std::vector<std::unique_ptr<DprManager>> mgrs;
-  std::vector<std::unique_ptr<ReconfigService>> svcs;
-  std::unique_ptr<SlotScheduler> sched;
-
+/// One cell: a multi-slot SoC and its driver stack, each slot staged
+/// with its own golden cipher and FIR images.
+struct World : bench::ServingWorld {
   World(u32 num_slots, u32 queue_capacity, u64 seed, bool traced)
-      : soc([&] {
-          soc::SocConfig cfg;
-          cfg.num_slots = num_slots;
-          return cfg;
-        }()),
-        drv(soc.cpu(), soc.plic()), fi(seed) {
-    if (traced) {
-      soc.sim().obs().sink().set_capacity(usize{1} << 21);
-      soc.sim().obs().sink().set_enabled(true);
-    }
-    soc.attach_fault_injector(&fi);
+      : ServingWorld(num_slots, queue_capacity, kChunk, seed, traced, {}) {
     for (u32 s = 0; s < num_slots; ++s) {
-      DprManager::Config mc;
-      mc.staging_base = 0x8E00'0000 + u64{s} * 0x0100'0000;
-      mc.slot_id = s;
-      mgrs.push_back(std::make_unique<DprManager>(
-          drv, soc.config_memory(), soc.slot_handle(s), nullptr, mc));
-      mgrs.back()->set_fault_injector(&fi);
-      ReconfigService::Config sc;
-      sc.slot_id = s;
-      svcs.push_back(std::make_unique<ReconfigService>(*mgrs[s], sc));
-      stage(s, "cipher", accel::kRmIdCipher);
-      stage(s, "fir", accel::kRmIdFir);
+      stack.stage(s, "cipher", accel::kRmIdCipher);
+      stack.stage(s, "fir", accel::kRmIdFir);
     }
-    SlotScheduler::Config cc;
-    cc.queue_capacity = queue_capacity;
-    cc.capture_arena = kCaptureArena;
-    cc.capture_areas = 4;
-    cc.restore_staging = kRestoreStaging;
-    cc.default_chunk_bytes = kChunk;
-    cc.aging_quantum_mtime = 0;
-    sched = std::make_unique<SlotScheduler>(drv, cc);
-    sched->set_fault_injector(&fi);
-    for (u32 s = 0; s < num_slots; ++s) {
-      sched->add_slot({s, svcs[s].get(), mgrs[s].get(), &soc.slot_rm(s),
-                       &soc.config_memory(), soc.slot_handle(s),
-                       kCmdStaging + u64{s} * 0x10000});
-    }
-  }
-
-  void stage(u32 s, const char* name, u32 rm_id) {
-    const auto pbit = bitstream::generate_partial_bitstream(
-        soc.device(), soc.slot_partition(s), {rm_id, name});
-    const Addr addr =
-        kGoldenBase + (u64{s} * 2 + (rm_id == accel::kRmIdFir)) * 0x0040'0000;
-    soc.ddr().poke(addr, pbit);
-    mgrs[s]->register_staged(name, rm_id, addr,
-                             static_cast<u32>(pbit.size()));
   }
 };
-
-std::vector<u8> cipher_golden(std::span<const u8> plain, u64 key) {
-  std::vector<u8> out(plain.size());
-  for (u32 off = 0; off < plain.size(); off += kChunk) {
-    const u32 n = std::min<u32>(kChunk, static_cast<u32>(plain.size()) - off);
-    for (u32 beat = 0; beat < n / 8; ++beat) {
-      u64 p = 0;
-      std::memcpy(&p, plain.data() + off + beat * 8, 8);
-      const u64 c = p ^ accel::StreamCipher::keystream(key, beat);
-      std::memcpy(out.data() + off + beat * 8, &c, 8);
-    }
-  }
-  return out;
-}
-
-std::vector<u8> fir_golden(std::span<const u8> in) {
-  const auto coeffs = accel::fir_passthrough_coeffs();
-  std::vector<u8> out(in.size());
-  for (u32 off = 0; off < in.size(); off += kChunk) {
-    std::vector<i16> samples(kChunk / 2);
-    std::memcpy(samples.data(), in.data() + off, kChunk);
-    const auto filtered = accel::fir_reference(samples, coeffs);
-    std::memcpy(out.data() + off, filtered.data(), kChunk);
-  }
-  return out;
-}
 
 CellResult run_cell(const Cell& cell, u64 seed,
                     const char* trace_path = nullptr) {
@@ -188,9 +91,9 @@ CellResult run_cell(const Cell& cell, u64 seed,
 
   // Offer the whole load up front: the queue capacity admits every
   // task, so "lost" can only mean a scheduler defect, never a shed.
-  std::vector<PendingTask> tasks;
+  std::vector<bench::StreamTask> tasks;
   for (u32 i = 0; i < cell.load; ++i) {
-    PendingTask p;
+    bench::StreamTask p;
     p.fir = (rng.next_below(2) == 1);
     p.key = rng.next();
     p.src = kDataBase + u64{i} * 0x20000;
@@ -200,27 +103,8 @@ CellResult run_cell(const Cell& cell, u64 seed,
     for (auto& b : in) b = rng.next_byte();
     w.soc.ddr().poke(p.src, in);
 
-    Task t;
-    t.priority = static_cast<u32>(rng.next_below(4));
-    t.src = p.src;
-    t.dst = p.dst;
-    t.total_bytes = p.bytes;
-    if (p.fir) {
-      t.module = "fir";
-      t.rm_id = accel::kRmIdFir;
-      const auto coeffs = accel::fir_passthrough_coeffs();
-      for (u32 k = 0; k + 1 < coeffs.size(); k += 2) {
-        const u32 lo = static_cast<u16>(coeffs[k]);
-        const u32 hi = static_cast<u16>(coeffs[k + 1]);
-        t.setup_regs.push_back({k / 2, (hi << 16) | lo});
-      }
-    } else {
-      t.module = "cipher";
-      t.rm_id = accel::kRmIdCipher;
-      t.setup_regs = {{0, static_cast<u32>(p.key)},
-                      {1, static_cast<u32>(p.key >> 32)}};
-    }
-    if (ok(w.sched->submit(t, &p.id))) {
+    const u32 priority = static_cast<u32>(rng.next_below(4));
+    if (ok(w.sched->submit(p.task(priority), &p.id))) {
       tasks.push_back(p);
       ++r.offered;
     }
@@ -268,31 +152,17 @@ CellResult run_cell(const Cell& cell, u64 seed,
   r.cycles = w.soc.sim().now();
 
   // Safety audit: every offered task terminal + completed + golden.
-  for (const PendingTask& p : tasks) {
+  for (const bench::StreamTask& p : tasks) {
     const auto* rec = w.sched->task(p.id);
     if (rec == nullptr || rec->state != TaskState::kCompleted) {
       ++r.lost;
-      continue;
+    } else if (!p.golden(w.soc, kChunk)) {
+      ++r.corrupted;
     }
-    std::vector<u8> in(p.bytes), out(p.bytes);
-    w.soc.ddr().peek(p.src, in);
-    w.soc.ddr().peek(p.dst, out);
-    const std::vector<u8> want =
-        p.fir ? fir_golden(in) : cipher_golden(in, p.key);
-    if (out != want) ++r.corrupted;
   }
 
-  if (trace_path != nullptr) {
-    if (!obs::write_chrome_trace(w.soc.sim().obs(), trace_path)) {
-      std::printf("  ERROR: could not write %s\n", trace_path);
-      ++r.lost;
-    } else {
-      const obs::TraceSink& sink = w.soc.sim().obs().sink();
-      std::printf("  wrote %s (%llu events emitted, %zu retained)\n",
-                  trace_path,
-                  static_cast<unsigned long long>(sink.total_events()),
-                  sink.events().size());
-    }
+  if (trace_path != nullptr && !bench::write_trace(w.soc, trace_path)) {
+    ++r.lost;
   }
   return r;
 }
@@ -302,10 +172,8 @@ CellResult run_cell(const Cell& cell, u64 seed,
 // ------------------------------------------------------------------
 
 int run_trace_capture(const char* path) {
-  bench::print_header("Traced preemptive slot serving -> Chrome trace JSON");
-  if (!obs::trace_compiled_in()) {
-    std::printf("  built with RVCAP_NO_TRACE: event tracing is compiled "
-                "out, nothing to capture\n");
+  if (!bench::begin_trace_capture(
+          "Traced preemptive slot serving -> Chrome trace JSON")) {
     return 1;
   }
   const Cell cell{"trace", 2, 4, /*preempt=*/0.5, /*seu=*/0.5};
@@ -327,14 +195,7 @@ int run_trace_capture(const char* path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* trace_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace") == 0) {
-      trace_path = "slots_trace.json";
-    } else if (std::strncmp(argv[i], "--trace=", 8) == 0) {
-      trace_path = argv[i] + 8;
-    }
-  }
+  const char* trace_path = bench::trace_arg(argc, argv, "slots_trace.json");
   if (trace_path != nullptr) return run_trace_capture(trace_path);
 
   bench::print_header(
@@ -412,14 +273,7 @@ int main(int argc, char** argv) {
   json += safe ? "true" : "false";
   json += "\n}";
 
-  const char* path = std::getenv("BENCH_SLOTS_JSON");
-  if (path == nullptr) path = "BENCH_slots.json";
-  FILE* f = std::fopen(path, "w");
-  if (f != nullptr) {
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("\nwrote %s\n", path);
-  }
+  bench::write_ledger(json, "BENCH_SLOTS_JSON", "BENCH_slots.json");
 
   if (!safe) {
     std::printf("\nERROR: a task was lost, failed, or produced corrupted "

@@ -5,6 +5,7 @@
 #include "bitstream/generator.hpp"
 #include "driver/dpr_manager.hpp"
 #include "driver/spi_sd.hpp"
+#include "driver/stack.hpp"
 #include "soc/ariane_soc.hpp"
 #include "storage/fat32.hpp"
 
@@ -18,27 +19,15 @@ using soc::SocConfig;
 
 // Pre-staged-modules fixture (no SD involvement).
 struct ManagerFixture : ::testing::Test {
-  ManagerFixture()
-      : soc(SocConfig{}),
-        drv(soc.cpu(), soc.plic()),
-        mgr(drv, soc.config_memory(), soc.rp0_handle(), nullptr) {
-    stage("sobel", accel::kRmIdSobel, 0x8800'0000);
-    stage("median", accel::kRmIdMedian, 0x8880'0000);
-    stage("gaussian", accel::kRmIdGaussian, 0x8900'0000);
-  }
-
-  void stage(const char* name, u32 rm_id, Addr addr) {
-    const auto pbit = bitstream::generate_partial_bitstream(
-        soc.device(), soc.rp0(), {rm_id, name});
-    soc.ddr().poke(addr, pbit);
-    ASSERT_EQ(mgr.register_staged(name, rm_id, addr,
-                                  static_cast<u32>(pbit.size())),
-              Status::kOk);
+  ManagerFixture() {
+    EXPECT_EQ(stack.stage(0, "sobel", accel::kRmIdSobel), Status::kOk);
+    EXPECT_EQ(stack.stage(0, "median", accel::kRmIdMedian), Status::kOk);
+    EXPECT_EQ(stack.stage(0, "gaussian", accel::kRmIdGaussian), Status::kOk);
   }
 
   ArianeSoc soc;
-  driver::RvCapDriver drv;
-  DprManager mgr;
+  driver::Stack stack{soc, {}};
+  DprManager& mgr = stack.manager();
 };
 
 TEST_F(ManagerFixture, ActivateLoadsModule) {
@@ -71,7 +60,7 @@ TEST_F(ManagerFixture, UnknownModuleNotFound) {
 }
 
 TEST_F(ManagerFixture, DuplicateRegistrationRejected) {
-  EXPECT_EQ(mgr.register_staged("sobel", 9, 0x8000'0000, 4),
+  EXPECT_EQ(mgr.register_staged("sobel", 9, MemoryMap::kDdr.base, 4),
             Status::kAlreadyExists);
 }
 

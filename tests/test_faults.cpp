@@ -12,12 +12,12 @@
 
 #include "bitstream/generator.hpp"
 #include "driver/dpr_manager.hpp"
-#include "driver/hwicap_driver.hpp"
-#include "driver/scrubber.hpp"
 #include "driver/spi_sd.hpp"
+#include "driver/stack.hpp"
 #include "sim/fault_injector.hpp"
 #include "soc/ariane_soc.hpp"
 #include "storage/fat32.hpp"
+#include "healing_world.hpp"
 
 namespace rvcap {
 namespace {
@@ -191,47 +191,7 @@ TEST(FaultInjector, DisarmStopsFiring) {
 // Recovery over pre-staged modules (rp0, DMA/ICAP fault sites)
 // ---------------------------------------------------------------------
 
-struct RecoveryWorld {
-  RecoveryWorld()
-      : soc(make_config()),
-        drv(soc.cpu(), soc.plic()),
-        hwicap_drv(soc.cpu()),
-        scrubber(drv, soc.device(),
-                 driver::Scrubber::Config{0x8C00'0000, 0x8D00'0000}),
-        fi(0x5EED),
-        mgr(drv, soc.config_memory(), soc.rp0_handle(), nullptr) {
-    soc.attach_fault_injector(&fi);
-    mgr.set_fault_injector(&fi);
-    mgr.attach_fallback(&hwicap_drv);
-    mgr.attach_scrubber(&scrubber, &soc.rp0());
-    stage("sobel", accel::kRmIdSobel, 0x8A00'0000);
-    stage("median", accel::kRmIdMedian, 0x8B00'0000);
-  }
-
-  static SocConfig make_config() {
-    SocConfig cfg;
-    cfg.with_hwicap = true;  // fallback path available
-    return cfg;
-  }
-
-  void stage(const char* name, u32 rm_id, Addr addr) {
-    const auto pbit = bitstream::generate_partial_bitstream(
-        soc.device(), soc.rp0(), {rm_id, name});
-    soc.ddr().poke(addr, pbit);
-    ASSERT_EQ(mgr.register_staged(name, rm_id, addr,
-                                  static_cast<u32>(pbit.size())),
-              Status::kOk);
-  }
-
-  bool decoupled() { return soc.rvcap().rp_control().decoupled(); }
-
-  ArianeSoc soc;
-  driver::RvCapDriver drv;
-  driver::HwIcapDriver hwicap_drv;
-  driver::Scrubber scrubber;
-  FaultInjector fi;
-  DprManager mgr;
-};
+using RecoveryWorld = test::HealingWorld;
 
 struct FaultRecoveryFixture : ::testing::Test, RecoveryWorld {};
 
@@ -323,7 +283,8 @@ TEST_F(FaultRecoveryFixture, CorruptedRepairReloadNeverReplacesGoldenSnapshot) {
 
   const auto pbit = bitstream::generate_partial_bitstream(
       soc.device(), soc.rp0(), {accel::kRmIdSobel, "sobel"});
-  const driver::ReconfigModule m{"sobel", accel::kRmIdSobel, 0x8A00'0000,
+  const driver::ReconfigModule m{"sobel", accel::kRmIdSobel,
+                                 staged_addr("sobel"),
                                  static_cast<u32>(pbit.size())};
   EXPECT_EQ(scrubber.scrub_and_repair(soc.rp0(), m), Status::kCrcError);
   EXPECT_EQ(fi.fires(sites::kIcapCrcCorrupt), 1u);
@@ -372,10 +333,11 @@ TEST_F(FaultRecoveryFixture, CorruptPinnedImageNeverCouples) {
   // Flip one byte of the pre-staged image: the golden CRC from
   // registration no longer matches and there is no SD copy to reload,
   // so every attempt must be refused before the ICAP sees a word.
+  const Addr at = staged_addr("sobel") + 0x100;
   u8 byte = 0;
-  soc.ddr().peek(0x8A00'0100, std::span(&byte, 1));
+  soc.ddr().peek(at, std::span(&byte, 1));
   byte ^= 0xFF;
-  soc.ddr().poke(0x8A00'0100, std::span<const u8>(&byte, 1));
+  soc.ddr().poke(at, std::span<const u8>(&byte, 1));
   EXPECT_EQ(mgr.activate("sobel"), Status::kCrcError);
   EXPECT_TRUE(decoupled());
   EXPECT_FALSE(soc.config_memory().partition_state(soc.rp0_handle()).loaded);

@@ -16,15 +16,13 @@
 #include "accel/rm_slot.hpp"
 #include "bitstream/generator.hpp"
 #include "driver/dpr_manager.hpp"
-#include "driver/hwicap_driver.hpp"
-#include "driver/reconfig_service.hpp"
 #include "driver/rvcap_driver.hpp"
-#include "driver/scrub_service.hpp"
-#include "driver/scrubber.hpp"
+#include "driver/stack.hpp"
 #include "fabric/seu_process.hpp"
 #include "obs/trace.hpp"
 #include "sim/fault_injector.hpp"
 #include "soc/ariane_soc.hpp"
+#include "healing_world.hpp"
 
 namespace rvcap {
 namespace {
@@ -155,46 +153,9 @@ TEST(KernelEquivalence, IdleStretchKeepsClintPhase) {
 // Fault-injected self-healing: bit-identical journals per seed
 // ---------------------------------------------------------------------
 
-/// The RecoveryWorld of test_faults.cpp, parameterized by kernel mode.
-struct RecoveryRun {
-  explicit RecoveryRun(Simulator::Mode mode)
-      : soc(make_config(mode)),
-        drv(soc.cpu(), soc.plic()),
-        hwicap_drv(soc.cpu()),
-        scrubber(drv, soc.device(),
-                 driver::Scrubber::Config{0x8C00'0000, 0x8D00'0000}),
-        fi(0x5EED),
-        mgr(drv, soc.config_memory(), soc.rp0_handle(), nullptr) {
-    soc.attach_fault_injector(&fi);
-    mgr.set_fault_injector(&fi);
-    mgr.attach_fallback(&hwicap_drv);
-    mgr.attach_scrubber(&scrubber, &soc.rp0());
-    stage("sobel", accel::kRmIdSobel, 0x8A00'0000);
-    stage("median", accel::kRmIdMedian, 0x8B00'0000);
-  }
-
-  static SocConfig make_config(Simulator::Mode mode) {
-    SocConfig cfg;
-    cfg.sim_mode = mode;
-    cfg.with_hwicap = true;
-    return cfg;
-  }
-
-  void stage(const char* name, u32 rm_id, Addr addr) {
-    const auto pbit = bitstream::generate_partial_bitstream(
-        soc.device(), soc.rp0(), {rm_id, name});
-    soc.ddr().poke(addr, pbit);
-    ASSERT_EQ(mgr.register_staged(name, rm_id, addr,
-                                  static_cast<u32>(pbit.size())),
-              Status::kOk);
-  }
-
-  ArianeSoc soc;
-  driver::RvCapDriver drv;
-  driver::HwIcapDriver hwicap_drv;
-  driver::Scrubber scrubber;
-  FaultInjector fi;
-  DprManager mgr;
+/// The self-healing rig of test_faults.cpp, per kernel mode.
+struct RecoveryRun : test::HealingWorld {
+  explicit RecoveryRun(Simulator::Mode mode) : HealingWorld(0x5EED, mode) {}
 };
 
 void expect_same_journal(const std::vector<DprManager::JournalEntry>& a,
@@ -280,24 +241,14 @@ SeuOutcome run_seu(Simulator::Mode mode) {
   SocConfig cfg;
   cfg.sim_mode = mode;
   ArianeSoc soc(cfg);
-  driver::RvCapDriver drv(soc.cpu(), soc.plic());
   FaultInjector fi(0xBEEF);
-  soc.attach_fault_injector(&fi);
-  DprManager mgr(drv, soc.config_memory(), soc.rp0_handle(), nullptr);
-  mgr.set_fault_injector(&fi);
-  const auto pbit = bitstream::generate_partial_bitstream(
-      soc.device(), soc.rp0(), {accel::kRmIdSobel, "sobel"});
-  soc.ddr().poke(0x8A00'0000, pbit);
-  EXPECT_EQ(mgr.register_staged("sobel", accel::kRmIdSobel, 0x8A00'0000,
-                                static_cast<u32>(pbit.size())),
-            Status::kOk);
-
-  driver::ReconfigService svc(mgr, driver::ReconfigService::Config{});
-  driver::ScrubService::Config sc;
-  sc.cmd_staging = 0x8C00'0000;
-  sc.rb_buffer = 0x8D00'0000;
-  sc.frames_per_slice = 128;
-  driver::ScrubService scrub(drv, soc.config_memory(), svc, sc);
+  driver::Stack::Parts parts;
+  parts.scrub = driver::ScrubService::Config{};
+  parts.scrub->frames_per_slice = 128;
+  driver::Stack stack(soc, parts, &fi);
+  EXPECT_EQ(stack.stage(0, "sobel", accel::kRmIdSobel), Status::kOk);
+  driver::ReconfigService& svc = stack.service();
+  driver::ScrubService& scrub = *stack.scrub();
   scrub.watch_partition(soc.rp0_handle(), "sobel");
   scrub.install_upset_feed();
 

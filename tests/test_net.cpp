@@ -21,6 +21,7 @@
 #include "driver/bitstream_source.hpp"
 #include "driver/dpr_manager.hpp"
 #include "driver/spi_sd.hpp"
+#include "driver/stack.hpp"
 #include "net/net_fetcher.hpp"
 #include "sim/fault_injector.hpp"
 #include "soc/ariane_soc.hpp"
@@ -507,24 +508,13 @@ TEST(BitstreamDelivery, TotalOutageWithoutFallbackFailsCleanly) {
 // ---------------------------------------------------------------------
 
 /// SoC + DprManager whose modules live on the repository server.
-struct RemoteWorld {
+struct RemoteWorld : NetWorld {
   explicit RemoteWorld(Simulator::Mode mode = Simulator::Mode::kScheduled,
                        u64 fault_seed = 0x5EED)
-      : soc(NetWorld::make_config(mode)),
-        drv(soc.cpu(), soc.plic()),
-        fi(fault_seed),
-        fetcher(soc.cpu(), soc.net_link(), NetFetcher::Config{}),
-        net_src(fetcher),
-        cache(soc.cpu(), cache_config()),
-        delivery(soc.cpu()),
-        mgr(drv, soc.config_memory(), soc.rp0_handle(), nullptr) {
-    soc.attach_fault_injector(&fi);
-    mgr.set_fault_injector(&fi);
-    delivery.set_primary(&net_src);
-    delivery.attach_cache(&cache);
-    mgr.attach_source(&delivery);
-    publish("sobel.pbit", accel::kRmIdSobel);
-    publish("median.pbit", accel::kRmIdMedian);
+      : NetWorld(mode, fault_seed), net_src(fetcher), stack(soc, parts(), &fi) {
+    stack.delivery()->set_primary(&net_src);
+    publish_module("sobel.pbit", accel::kRmIdSobel);
+    publish_module("median.pbit", accel::kRmIdMedian);
     EXPECT_EQ(mgr.register_remote("sobel", accel::kRmIdSobel, "sobel.pbit"),
               Status::kOk);
     EXPECT_EQ(
@@ -532,26 +522,21 @@ struct RemoteWorld {
         Status::kOk);
   }
 
-  static BitstreamCache::Config cache_config() {
-    BitstreamCache::Config cfg;
-    cfg.base = 0x8E00'0000;  // clear of the manager's staging slots
-    return cfg;
+  static driver::Stack::Parts parts() {
+    driver::Stack::Parts p;
+    p.cache = BitstreamCache::Config{};
+    return p;
   }
 
-  void publish(const char* image, u32 rm_id) {
+  void publish_module(const char* image, u32 rm_id) {
     soc.net_server().add_image(
         image, bitstream::generate_partial_bitstream(soc.device(), soc.rp0(),
                                                      {rm_id, image}));
   }
 
-  ArianeSoc soc;
-  driver::RvCapDriver drv;
-  FaultInjector fi;
-  NetFetcher fetcher;
   NetBitstreamSource net_src;
-  BitstreamCache cache;
-  BitstreamDelivery delivery;
-  DprManager mgr;
+  driver::Stack stack;
+  DprManager& mgr = stack.manager();
 };
 
 TEST(RemoteDpr, RemoteModulesActivateOverLossyLink) {

@@ -25,32 +25,25 @@
 //    placements and fragmentation.
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "accel/filters.hpp"
-#include "accel/stream_cipher.hpp"
 #include "bitstream/compress.hpp"
 #include "bitstream/generator.hpp"
 #include "bitstream/packets.hpp"
 #include "bitstream/preflight.hpp"
 #include "bitstream/relocate.hpp"
-#include "common/rng.hpp"
-#include "driver/bitstream_source.hpp"
-#include "driver/dpr_manager.hpp"
-#include "driver/placement_engine.hpp"
-#include "driver/reconfig_service.hpp"
-#include "driver/slot_scheduler.hpp"
+#include "driver/stack.hpp"
 #include "fabric/placement.hpp"
 #include "sim/fault_injector.hpp"
 #include "soc/ariane_soc.hpp"
+#include "serving_world.hpp"
 
 namespace rvcap {
 namespace {
 
-using accel::StreamCipher;
 using driver::BitstreamCache;
 using driver::BitstreamSource;
 using driver::DprManager;
@@ -67,31 +60,7 @@ using Task = SlotScheduler::HwTask;
 using TaskState = SlotScheduler::TaskState;
 using Swap = SlotScheduler::SwapEvent::Kind;
 
-constexpr Addr kGoldenBase = 0xA000'0000;     // home (source) pbits
-constexpr Addr kRelocArena = 0x9400'0000;     // materialized variants
-constexpr Addr kVariantCache = 0xA800'0000;   // shared (digest, region) cache
-constexpr Addr kCaptureArena = 0x9800'0000;
-constexpr Addr kRestoreStaging = 0x9E00'0000;
-constexpr Addr kCmdStaging = 0x9F00'0000;     // + slot * 0x10000
-constexpr Addr kDataBase = 0xB000'0000;       // task src/dst buffers
-
-SlotScheduler::Config sched_config() {
-  SlotScheduler::Config cc;
-  cc.capture_arena = kCaptureArena;
-  cc.capture_areas = 4;
-  cc.restore_staging = kRestoreStaging;
-  cc.default_chunk_bytes = 512;
-  cc.aging_quantum_mtime = 0;
-  return cc;
-}
-
-PlacementEngine::Config engine_config() {
-  PlacementEngine::Config ec;
-  ec.reloc_arena = kRelocArena;
-  ec.reloc_slot_bytes = 1 << 20;
-  ec.reloc_slots = 16;
-  return ec;
-}
+using test::kDataBase;
 
 // ---------------------------------------------------------------------
 // World: N-slot SoC, per-slot manager/service stacks, ONE placement
@@ -99,110 +68,23 @@ PlacementEngine::Config engine_config() {
 // module is registered once, against its home region (slot 0).
 // ---------------------------------------------------------------------
 
-struct PlaceWorld {
+struct PlaceWorld : test::ServingWorld {
   explicit PlaceWorld(u32 num_slots = 3,
                       sim::Simulator::Mode mode = sim::Simulator::Mode::kScheduled)
-      : soc(make_config(num_slots, mode)), drv(soc.cpu(), soc.plic()),
-        fi(0x5EED) {
-    soc.attach_fault_injector(&fi);
-    for (u32 s = 0; s < num_slots; ++s) {
-      DprManager::Config mc;
-      mc.staging_base = 0x8E00'0000 + u64{s} * 0x0100'0000;
-      mc.slot_id = s;
-      mgrs.push_back(std::make_unique<DprManager>(
-          drv, soc.config_memory(), soc.slot_handle(s), nullptr, mc));
-      mgrs.back()->set_fault_injector(&fi);
-      ReconfigService::Config sc;
-      sc.slot_id = s;
-      svcs.push_back(std::make_unique<ReconfigService>(*mgrs[s], sc));
-    }
-    engine = std::make_unique<PlacementEngine>(drv, soc.allocator(),
-                                               engine_config());
-    stage("cipher", accel::kRmIdCipher);
-    stage("sobel", accel::kRmIdSobel);
-    rebuild_scheduler(sched_config());
+      : ServingWorld(num_slots, mode, parts()) {
+    EXPECT_EQ(stack.stage_home("cipher", accel::kRmIdCipher), Status::kOk);
+    EXPECT_EQ(stack.stage_home("sobel", accel::kRmIdSobel), Status::kOk);
   }
 
-  static SocConfig make_config(u32 num_slots, sim::Simulator::Mode mode) {
-    SocConfig cfg;
-    cfg.num_slots = num_slots;
-    cfg.sim_mode = mode;
-    return cfg;
+  static driver::Stack::Parts parts() {
+    driver::Stack::Parts p;
+    p.placement = PlacementEngine::Config{};
+    p.scheduler = test::serving_sched_config();
+    return p;
   }
 
-  void rebuild_scheduler(const SlotScheduler::Config& cc) {
-    sched = std::make_unique<SlotScheduler>(drv, cc);
-    sched->set_fault_injector(&fi);
-    for (u32 s = 0; s < soc.num_slots(); ++s) {
-      sched->add_slot({s, svcs[s].get(), mgrs[s].get(), &soc.slot_rm(s),
-                       &soc.config_memory(), soc.slot_handle(s),
-                       kCmdStaging + u64{s} * 0x10000});
-    }
-    sched->attach_placement(engine.get());
-  }
-
-  /// Generate the module's HOME image (frame addresses target slot 0's
-  /// partition) and register it ONCE with the engine.
-  void stage(const char* name, u32 rm_id) {
-    const auto pbit = bitstream::generate_partial_bitstream(
-        soc.device(), soc.slot_partition(0), {rm_id, name});
-    const Addr addr = kGoldenBase + u64{staged_} * 0x0010'0000;
-    ++staged_;
-    soc.ddr().poke(addr, pbit);
-    ASSERT_EQ(engine->register_module(name, rm_id, /*home_region=*/0, addr,
-                                      static_cast<u32>(pbit.size())),
-              Status::kOk);
-  }
-
-  Task cipher_task(u64 key, u32 bytes, u32 priority, Addr src, Addr dst,
-                   u64 seed) {
-    SplitMix64 rng(seed);
-    std::vector<u8> plain(bytes);
-    for (auto& b : plain) b = rng.next_byte();
-    soc.ddr().poke(src, plain);
-    Task t;
-    t.module = "cipher";
-    t.rm_id = accel::kRmIdCipher;
-    t.priority = priority;
-    t.src = src;
-    t.dst = dst;
-    t.total_bytes = bytes;
-    t.setup_regs = {{0, static_cast<u32>(key)},
-                    {1, static_cast<u32>(key >> 32)}};
-    return t;
-  }
-
-  std::vector<u8> cipher_golden(u64 key, Addr src, u32 bytes,
-                                u32 chunk_bytes) {
-    std::vector<u8> plain(bytes);
-    soc.ddr().peek(src, plain);
-    std::vector<u8> out(bytes);
-    for (u32 off = 0; off < bytes; off += chunk_bytes) {
-      const u32 n = std::min(chunk_bytes, bytes - off);
-      for (u32 beat = 0; beat < n / 8; ++beat) {
-        u64 p = 0;
-        std::memcpy(&p, plain.data() + off + beat * 8, 8);
-        const u64 c = p ^ StreamCipher::keystream(key, beat);
-        std::memcpy(out.data() + off + beat * 8, &c, 8);
-      }
-    }
-    return out;
-  }
-
-  std::vector<u8> read_dst(Addr dst, u32 bytes) {
-    std::vector<u8> out(bytes);
-    soc.ddr().peek(dst, out);
-    return out;
-  }
-
-  ArianeSoc soc;
-  driver::RvCapDriver drv;
-  FaultInjector fi;
-  std::vector<std::unique_ptr<DprManager>> mgrs;
-  std::vector<std::unique_ptr<ReconfigService>> svcs;
-  std::unique_ptr<PlacementEngine> engine;
-  std::unique_ptr<SlotScheduler> sched;
-  u32 staged_ = 0;
+  driver::RvCapDriver& drv = stack.driver();
+  PlacementEngine* engine = stack.placement();
 };
 
 // ---------------------------------------------------------------------
@@ -481,7 +363,7 @@ TEST(PlaceServing, OneImageServesAllCompatibleSlots) {
   EXPECT_EQ(w.engine->stats().reloc_failures, 0u);
   // Every slot's manager now serves the module locally.
   for (u32 s = 0; s < 3; ++s) {
-    EXPECT_TRUE(w.mgrs[s]->has_module("cipher")) << s;
+    EXPECT_TRUE(w.stack.manager(s).has_module("cipher")) << s;
   }
 }
 
@@ -667,7 +549,7 @@ TEST(PlaceDelivery, OneFetchServesEverySlotAndTheVariantCacheIsShared) {
       w.soc.device(), w.soc.slot_partition(0), {accel::kRmIdFir, "fir"});
   CountingSource net(w.soc, "fir.pbit", pbit);
   BitstreamCache::Config cc;
-  cc.base = kVariantCache;
+  cc.base = driver::DdrLayout::base(driver::DdrLayout::kDeliveryCache);
   cc.slot_bytes = 1 << 20;
   cc.slots = 4;
   BitstreamCache variants(w.drv.cpu_context(), cc);
@@ -686,8 +568,10 @@ TEST(PlaceDelivery, OneFetchServesEverySlotAndTheVariantCacheIsShared) {
 
   // A second engine sharing the (source digest, target region) cache
   // serves the relocated variant without re-fetching OR re-relocating.
-  PlacementEngine::Config ec2 = engine_config();
-  ec2.reloc_arena = kRelocArena + 0x0100'0000;
+  // Its arena: the relocation-arena slots just past the first engine's.
+  PlacementEngine::Config ec2;
+  ec2.reloc_arena = driver::DdrLayout::base(driver::DdrLayout::kRelocArena) +
+                    u64{ec2.reloc_slots} * ec2.reloc_slot_bytes;
   PlacementEngine engine2(w.drv, w.soc.allocator(), ec2);
   engine2.attach_delivery(&net, &variants);
   ASSERT_EQ(engine2.register_remote("fir", accel::kRmIdFir, 0, "fir.pbit"),

@@ -14,17 +14,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "bitstream/generator.hpp"
-#include "driver/dpr_manager.hpp"
-#include "driver/recovery_journal.hpp"
 #include "driver/recovery_manager.hpp"
-#include "driver/reconfig_service.hpp"
-#include "driver/spi_sd.hpp"
+#include "driver/stack.hpp"
 #include "sim/fault_injector.hpp"
 #include "sim/power_loss.hpp"
 #include "soc/ariane_soc.hpp"
@@ -329,35 +325,25 @@ struct RecoveryRig {
 struct Boot {
   Boot(storage::SdCard& card, sim::FaultInjector* fi,
        sim::Simulator::Mode mode)
-      : part(small_partition()) {
-    SocConfig cfg;
-    cfg.sim_mode = mode;
-    cfg.external_sd = &card;
-    soc = std::make_unique<ArianeSoc>(cfg);
-    handle = soc->add_partition(part);
-    if (fi != nullptr) soc->attach_fault_injector(fi);
-    drv = std::make_unique<driver::RvCapDriver>(soc->cpu(), soc->plic());
-    sd = std::make_unique<driver::SpiSdDriver>(soc->cpu());
-    sd_ok = ok(sd->init_card());
-    io = std::make_unique<driver::CpuBlockIo>(*sd, card.block_count());
-    vol = std::make_unique<storage::Fat32Volume>(*io);
-    if (sd_ok) sd_ok = ok(vol->mount());
-    journal = std::make_unique<RecoveryJournal>(*io, journal_region());
-    journal->set_fault_injector(fi);
-    journal->bind_trace(&soc->sim().obs().sink(), soc->sim().now_ptr());
-    DprManager::Config mcfg;
-    mcfg.slot_bytes = 64 * 1024;
-    mcfg.num_slots = 2;
-    mgr = std::make_unique<DprManager>(*drv, soc->config_memory(), handle,
-                                       vol.get(), mcfg);
-    mgr->set_fault_injector(fi);
+      : soc([&] {
+          SocConfig cfg;
+          cfg.sim_mode = mode;
+          cfg.external_sd = &card;
+          return cfg;
+        }()),
+        stack(soc, parts(), fi, &rp) {
     for (u32 id : {40u, 41u, 42u}) {
-      (void)mgr->register_module("m" + std::to_string(id), id,
-                                 "M" + std::to_string(id) + ".PB");
+      (void)mgr.register_module("m" + std::to_string(id), id,
+                                "M" + std::to_string(id) + ".PB");
     }
-    mgr->attach_intent_journal(journal.get());
-    svc = std::make_unique<ReconfigService>(*mgr);
-    svc->attach_intent_journal(journal.get());
+  }
+
+  static driver::Stack::Parts parts() {
+    driver::Stack::Parts p;
+    p.manager.slot_bytes = 64 * 1024;
+    p.manager.num_slots = 2;
+    p.journal = journal_region();
+    return p;
   }
 
   Status request(u32 rm_id, u64 deadline = 0, u32 priority = 1) {
@@ -365,22 +351,17 @@ struct Boot {
     req.module = "m" + std::to_string(rm_id);
     req.priority = priority;
     req.deadline_mtime = deadline;
-    Status st = svc->submit(req);
-    if (ok(st)) svc->drain();
+    Status st = svc.submit(req);
+    if (ok(st)) svc.drain();
     return st;
   }
 
-  fabric::Partition part;
-  usize handle = 0;
-  bool sd_ok = false;
-  std::unique_ptr<ArianeSoc> soc;
-  std::unique_ptr<driver::RvCapDriver> drv;
-  std::unique_ptr<driver::SpiSdDriver> sd;
-  std::unique_ptr<driver::CpuBlockIo> io;
-  std::unique_ptr<storage::Fat32Volume> vol;
-  std::unique_ptr<RecoveryJournal> journal;
-  std::unique_ptr<DprManager> mgr;
-  std::unique_ptr<ReconfigService> svc;
+  const fabric::Partition rp = small_partition();
+  ArianeSoc soc;
+  driver::Stack stack;
+  DprManager& mgr = stack.manager();
+  ReconfigService& svc = stack.service();
+  RecoveryJournal& journal = *stack.journal();
 };
 
 // The canonical pre-crash workload: three sequential activations
@@ -404,14 +385,16 @@ RecoveredState recover_boot(storage::SdCard& card,
                             sim::Simulator::Mode mode) {
   card.power_on();
   Boot b(card, nullptr, mode);
-  EXPECT_TRUE(b.sd_ok);
-  RecoveryManager rman(b.soc->cpu(), *b.journal);
-  rman.add_slot(0, b.mgr.get(), b.svc.get());
+  EXPECT_TRUE(b.stack.storage_ready());
+  RecoveryManager rman(b.soc.cpu(), b.journal);
+  rman.add_slot(0, &b.mgr, &b.svc);
   RecoveredState out;
   out.status = rman.recover(&out.report);
-  out.active = b.mgr->active_module();
-  out.fabric_rm = b.soc->config_memory().partition_state(b.handle).rm_id;
-  out.records = b.journal->records();
+  out.active = b.mgr.active_module();
+  out.fabric_rm = b.soc.config_memory()
+                      .partition_state(b.stack.partition_handle())
+                      .rm_id;
+  out.records = b.journal.records();
   return out;
 }
 
@@ -427,10 +410,10 @@ TEST(RecoveryEndToEnd, ResetAnywhereConvergesToVerified) {
   {
     RecoveryRig rig;
     Boot b(rig.card, nullptr, sim::Simulator::Mode::kScheduled);
-    ASSERT_TRUE(b.sd_ok);
+    ASSERT_TRUE(b.stack.storage_ready());
     workload(b);
-    EXPECT_EQ(b.mgr->active_module(), "m42");
-    total = b.soc->sim().now();
+    EXPECT_EQ(b.mgr.active_module(), "m42");
+    total = b.soc.sim().now();
   }
   ASSERT_GT(total, 0u);
 
@@ -442,16 +425,16 @@ TEST(RecoveryEndToEnd, ResetAnywhereConvergesToVerified) {
     ASSERT_EQ(fi.arm(sites::kSdWriteTorn, 1000), Status::kOk);
     {
       Boot b(rig.card, &fi, sim::Simulator::Mode::kScheduled);
-      ASSERT_TRUE(b.sd_ok);
+      ASSERT_TRUE(b.stack.storage_ready());
       sim::PowerLoss power;
-      b.soc->sim().add(&power);
+      b.soc.sim().add(&power);
       power.on_trip([&] { rig.card.power_fail(); });
       power.arm_at(trip);
       workload(b);
       // Trips past the workload end fire here: a post-commit loss.
       if (!power.tripped()) {
-        b.soc->sim().run_cycles(trip > b.soc->sim().now()
-                                    ? trip - b.soc->sim().now() + 1
+        b.soc.sim().run_cycles(trip > b.soc.sim().now()
+                                    ? trip - b.soc.sim().now() + 1
                                     : 1);
       }
       EXPECT_TRUE(power.tripped());
@@ -484,15 +467,15 @@ TEST(RecoveryEndToEnd, ResetAnywhereConvergesToVerified) {
     ASSERT_EQ(fi2.arm(sites::kSdWriteTorn, 1000), Status::kOk);
     {
       Boot b(rig2.card, &fi2, sim::Simulator::Mode::kScheduled);
-      ASSERT_TRUE(b.sd_ok);
+      ASSERT_TRUE(b.stack.storage_ready());
       sim::PowerLoss power;
-      b.soc->sim().add(&power);
+      b.soc.sim().add(&power);
       power.on_trip([&] { rig2.card.power_fail(); });
       power.arm_at(trip);
       workload(b);
       if (!power.tripped()) {
-        b.soc->sim().run_cycles(trip > b.soc->sim().now()
-                                    ? trip - b.soc->sim().now() + 1
+        b.soc.sim().run_cycles(trip > b.soc.sim().now()
+                                    ? trip - b.soc.sim().now() + 1
                                     : 1);
       }
     }
@@ -519,14 +502,14 @@ TEST(RecoveryEndToEnd, SiteDrawnTripCycleIsDeterministic) {
     ASSERT_EQ(fi.arm(sites::kPowerLoss, 1), Status::kOk);
     ASSERT_EQ(fi.arm(sites::kSdWriteTorn, 1000), Status::kOk);
     Boot b(rig.card, &fi, sim::Simulator::Mode::kScheduled);
-    ASSERT_TRUE(b.sd_ok);
+    ASSERT_TRUE(b.stack.storage_ready());
     sim::PowerLoss power(&fi);
-    b.soc->sim().add(&power);
+    b.soc.sim().add(&power);
     power.on_trip([&] { rig.card.power_fail(); });
     power.arm_from_site(/*horizon=*/40'000'000);
     ASSERT_TRUE(power.armed());
     workload(b);
-    if (!power.tripped()) b.soc->sim().run_until_idle();
+    if (!power.tripped()) b.soc.sim().run_until_idle();
     trips[run] = power.trip_cycle();
     EXPECT_TRUE(power.tripped());
   }
@@ -550,9 +533,9 @@ TEST(RecoveryEndToEnd, FlatAndScheduledKernelsAgree) {
     ASSERT_EQ(fi.arm(sites::kSdWriteTorn, 1000), Status::kOk);
     {
       Boot b(rig.card, &fi, modes[k]);
-      ASSERT_TRUE(b.sd_ok);
+      ASSERT_TRUE(b.stack.storage_ready());
       sim::PowerLoss power;
-      b.soc->sim().add(&power);
+      b.soc.sim().add(&power);
       power.on_trip([&] { rig.card.power_fail(); });
       power.arm_at(9'000'000);  // mid-workload under both kernels
       workload(b);
@@ -742,19 +725,19 @@ TEST(RecoveryIntegration, FailureJournalMirrorsIntoPersistentJournal) {
   // and the volatile ring entry must be mirrored as a kFailureNote.
   ASSERT_EQ(fi.arm(sites::kStageBitFlip, 1), Status::kOk);
   Boot b(rig.card, &fi, sim::Simulator::Mode::kScheduled);
-  ASSERT_TRUE(b.sd_ok);
-  ASSERT_EQ(b.mgr->activate("m40"), Status::kOk);
-  ASSERT_GE(b.mgr->journal_events(), 1u);
+  ASSERT_TRUE(b.stack.storage_ready());
+  ASSERT_EQ(b.mgr.activate("m40"), Status::kOk);
+  ASSERT_GE(b.mgr.journal_events(), 1u);
 
   u32 notes = 0;
-  for (const IntentRecord& r : b.journal->records()) {
+  for (const IntentRecord& r : b.journal.records()) {
     if (r.op != IntentOp::kFailureNote) continue;
     ++notes;
     const auto f = RecoveryManager::decode_failure(r);
     EXPECT_EQ(f.rm_id, 40u);
     EXPECT_EQ(static_cast<u32>(f.stage), static_cast<u32>(r.flags));
   }
-  EXPECT_EQ(notes, b.mgr->journal_events());
+  EXPECT_EQ(notes, b.mgr.journal_events());
 }
 
 // Recovery trace track carries the whole story.
@@ -762,24 +745,24 @@ TEST(RecoveryIntegration, RecoveryTrackTracesEmitted) {
   RecoveryRig rig;
   {
     Boot b(rig.card, nullptr, sim::Simulator::Mode::kScheduled);
-    ASSERT_TRUE(b.sd_ok);
-    b.soc->sim().obs().sink().set_enabled(true);
+    ASSERT_TRUE(b.stack.storage_ready());
+    b.soc.sim().obs().sink().set_enabled(true);
     (void)b.request(40);
     rig.card.power_fail();
   }
   rig.card.power_on();
   Boot b(rig.card, nullptr, sim::Simulator::Mode::kScheduled);
-  ASSERT_TRUE(b.sd_ok);
+  ASSERT_TRUE(b.stack.storage_ready());
   // The golden reload floods the ring with bus/ICAP events; grow it so
   // the early boot-scan/verdict instants survive to the assertion.
-  b.soc->sim().obs().sink().set_capacity(usize{1} << 21);
-  b.soc->sim().obs().sink().set_enabled(true);
-  RecoveryManager rman(b.soc->cpu(), *b.journal);
-  rman.add_slot(0, b.mgr.get(), b.svc.get());
+  b.soc.sim().obs().sink().set_capacity(usize{1} << 21);
+  b.soc.sim().obs().sink().set_enabled(true);
+  RecoveryManager rman(b.soc.cpu(), b.journal);
+  rman.add_slot(0, &b.mgr, &b.svc);
   ASSERT_EQ(rman.recover(), Status::kOk);
 
   std::set<obs::EventKind> kinds;
-  for (const obs::TraceEvent& e : b.soc->sim().obs().sink().events()) {
+  for (const obs::TraceEvent& e : b.soc.sim().obs().sink().events()) {
     if (obs::event_track(e.kind) == obs::Track::kRecovery) kinds.insert(e.kind);
   }
   EXPECT_TRUE(kinds.count(obs::EventKind::kRecovJournalAppend));

@@ -19,20 +19,16 @@
 
 #include "accel/filters.hpp"
 #include "accel/rm_slot.hpp"
-#include "bitstream/generator.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
-#include "driver/dpr_manager.hpp"
-#include "driver/hwicap_driver.hpp"
-#include "driver/reconfig_service.hpp"
-#include "driver/scrub_service.hpp"
-#include "driver/scrubber.hpp"
+#include "driver/stack.hpp"
 #include "fabric/frame_ecc.hpp"
 #include "fabric/seu_process.hpp"
 #include "obs/trace.hpp"
 #include "sim/fault_injector.hpp"
 #include "soc/ariane_soc.hpp"
 #include "soc/memory_map.hpp"
+#include "healing_world.hpp"
 #include "testutil.hpp"
 
 namespace rvcap {
@@ -257,24 +253,10 @@ TEST_F(FabricFixture, BaseFrameRewriteIsNeverAnInPlaceRepair) {
 // Scrub service over the live SoC
 // ---------------------------------------------------------------------
 
-struct ScrubWorld {
+struct ScrubWorld : test::HealingWorld {
   explicit ScrubWorld(u64 seed = 0x5EED,
                       Simulator::Mode mode = Simulator::Mode::kScheduled)
-      : soc(make_config(mode)),
-        drv(soc.cpu(), soc.plic()),
-        hwicap_drv(soc.cpu()),
-        scrubber(drv, soc.device(),
-                 driver::Scrubber::Config{0x8C00'0000, 0x8D00'0000}),
-        fi(seed),
-        mgr(drv, soc.config_memory(), soc.rp0_handle(), nullptr),
-        svc(mgr),
-        scrub(drv, soc.config_memory(), svc, scrub_config()) {
-    soc.attach_fault_injector(&fi);
-    mgr.set_fault_injector(&fi);
-    mgr.attach_fallback(&hwicap_drv);
-    mgr.attach_scrubber(&scrubber, &soc.rp0());
-    stage("sobel", accel::kRmIdSobel, 0x8A00'0000);
-    stage("median", accel::kRmIdMedian, 0x8B00'0000);
+      : HealingWorld(seed, mode, parts()) {
     scrub.watch_partition(soc.rp0_handle(), "sobel");
     scrub.install_upset_feed();
     scrub.set_irqs(
@@ -282,28 +264,11 @@ struct ScrubWorld {
         irq::IrqLine(&soc.plic(), soc::IrqMap::kScrubError));
   }
 
-  static SocConfig make_config(Simulator::Mode mode) {
-    SocConfig cfg;
-    cfg.sim_mode = mode;
-    cfg.with_hwicap = true;
-    return cfg;
-  }
-
-  static ScrubService::Config scrub_config() {
-    ScrubService::Config cfg;
-    cfg.cmd_staging = 0x8C00'0000;
-    cfg.rb_buffer = 0x8D00'0000;
-    cfg.frames_per_slice = 128;
-    return cfg;
-  }
-
-  void stage(const char* name, u32 rm_id, Addr addr) {
-    const auto pbit = bitstream::generate_partial_bitstream(
-        soc.device(), soc.rp0(), {rm_id, name});
-    soc.ddr().poke(addr, pbit);
-    ASSERT_EQ(mgr.register_staged(name, rm_id, addr,
-                                  static_cast<u32>(pbit.size())),
-              Status::kOk);
+  static driver::Stack::Parts parts() {
+    driver::Stack::Parts p;
+    p.scrub = ScrubService::Config{};
+    p.scrub->frames_per_slice = 128;
+    return p;
   }
 
   void activate(const char* name) {
@@ -332,14 +297,8 @@ struct ScrubWorld {
     return {1, 0, 0};
   }
 
-  ArianeSoc soc;
-  driver::RvCapDriver drv;
-  driver::HwIcapDriver hwicap_drv;
-  driver::Scrubber scrubber;
-  FaultInjector fi;
-  DprManager mgr;
-  ReconfigService svc;
-  ScrubService scrub;
+  ReconfigService& svc = stack.service();
+  ScrubService& scrub = *stack.scrub();
   // Owned here, not in run_demo(): the simulator keeps a pointer, and
   // post-demo MMIO reads still tick the kernel.
   std::unique_ptr<SeuProcess> seu;

@@ -21,13 +21,11 @@
 
 #include "bitstream/generator.hpp"
 #include "common/rng.hpp"
-#include "driver/dpr_manager.hpp"
-#include "driver/hwicap_driver.hpp"
-#include "driver/reconfig_service.hpp"
-#include "driver/scrubber.hpp"
+#include "driver/stack.hpp"
 #include "obs/trace.hpp"
 #include "sim/fault_injector.hpp"
 #include "soc/ariane_soc.hpp"
+#include "healing_world.hpp"
 #include "testutil.hpp"
 
 namespace rvcap {
@@ -49,46 +47,9 @@ using State = ReconfigService::RequestState;
 // World: SoC + self-healing DprManager with three pre-staged modules.
 // ---------------------------------------------------------------------
 
-struct ServiceWorld {
-  ServiceWorld()
-      : soc(make_config()),
-        drv(soc.cpu(), soc.plic()),
-        hwicap_drv(soc.cpu()),
-        scrubber(drv, soc.device(),
-                 driver::Scrubber::Config{0x8C00'0000, 0x8D00'0000}),
-        fi(0x5EED),
-        mgr(drv, soc.config_memory(), soc.rp0_handle(), nullptr) {
-    soc.attach_fault_injector(&fi);
-    mgr.set_fault_injector(&fi);
-    mgr.attach_fallback(&hwicap_drv);
-    mgr.attach_scrubber(&scrubber, &soc.rp0());
-    stage("sobel", accel::kRmIdSobel, 0x8A00'0000);
-    stage("median", accel::kRmIdMedian, 0x8B00'0000);
-    stage("gauss", accel::kRmIdGaussian, 0x8900'0000);
-  }
-
-  static SocConfig make_config() {
-    SocConfig cfg;
-    cfg.with_hwicap = true;
-    return cfg;
-  }
-
-  void stage(const char* name, u32 rm_id, Addr addr) {
-    const auto pbit = bitstream::generate_partial_bitstream(
-        soc.device(), soc.rp0(), {rm_id, name});
-    soc.ddr().poke(addr, pbit);
-    ASSERT_EQ(mgr.register_staged(name, rm_id, addr,
-                                  static_cast<u32>(pbit.size())),
-              Status::kOk);
-  }
-
-  /// Stage raw bytes under a module name (for malformed images).
-  void stage_raw(const char* name, u32 rm_id, Addr addr,
-                 std::span<const u8> bytes) {
-    soc.ddr().poke(addr, bytes);
-    ASSERT_EQ(mgr.register_staged(name, rm_id, addr,
-                                  static_cast<u32>(bytes.size())),
-              Status::kOk);
+struct ServiceWorld : test::HealingWorld {
+  ServiceWorld() {
+    EXPECT_EQ(stack.stage(0, "gauss", accel::kRmIdGaussian), Status::kOk);
   }
 
   /// A one-column partition that shares no column-row with RP0 — the
@@ -107,12 +68,6 @@ struct ServiceWorld {
     return fabric::Partition("RPX", {{0, 0}});
   }
 
-  ArianeSoc soc;
-  driver::RvCapDriver drv;
-  driver::HwIcapDriver hwicap_drv;
-  driver::Scrubber scrubber;
-  FaultInjector fi;
-  DprManager mgr;
 };
 
 struct ServiceFixture : ::testing::Test, ServiceWorld {};
@@ -273,7 +228,7 @@ TEST_F(ServiceFixture, WrongRpFarRejectedBeforeAnyIcapWord) {
   const auto rpx = foreign_partition();
   const auto evil = bitstream::generate_partial_bitstream(
       soc.device(), rpx, {7, "evil"});
-  stage_raw("evil", 7, 0x8800'0000, evil);
+  ASSERT_EQ(stack.stage(0, "evil", 7, evil), Status::kOk);
 
   ReconfigService svc(mgr);
   const u64 words_before = soc.icap().words_consumed();
@@ -311,7 +266,7 @@ TEST_F(ServiceFixture, WrongIdcodeRejected) {
 TEST_F(ServiceFixture, GarbageImageRejected) {
   // No sync word anywhere: the parse fails before any hardware access.
   const std::vector<u8> junk(4096, 0xFF);
-  stage_raw("junk", 9, 0x8800'0000, junk);
+  ASSERT_EQ(stack.stage(0, "junk", 9, junk), Status::kOk);
   ReconfigService svc(mgr);
   EXPECT_EQ(svc.submit(Req{"junk", 1}), Status::kRejected);
   EXPECT_EQ(svc.stats().preflight_rejects, 1u);

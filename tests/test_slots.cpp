@@ -24,23 +24,18 @@
 
 #include "accel/filters.hpp"
 #include "accel/fir_filter.hpp"
-#include "accel/stream_cipher.hpp"
-#include "bitstream/generator.hpp"
 #include "common/rng.hpp"
-#include "driver/dpr_manager.hpp"
-#include "driver/reconfig_service.hpp"
-#include "driver/slot_scheduler.hpp"
+#include "driver/stack.hpp"
 #include "fabric/floorplan.hpp"
 #include "fabric/frame_ecc.hpp"
 #include "sim/fault_injector.hpp"
 #include "soc/ariane_soc.hpp"
+#include "serving_world.hpp"
 
 namespace rvcap {
 namespace {
 
-using accel::StreamCipher;
 using driver::DprManager;
-using driver::ReconfigService;
 using driver::SlotScheduler;
 using sim::FaultInjector;
 using soc::ArianeSoc;
@@ -126,115 +121,84 @@ TEST(Floorplan, SocRejectsMoreSlotsThanTheDeviceHosts) {
 }
 
 // ---------------------------------------------------------------------
+// DDR layout validation (the same construction-time check for DDR)
+// ---------------------------------------------------------------------
+
+using driver::DdrLayout;
+using driver::DdrRegion;
+
+TEST(DdrLayout, CommittedTableValidatesForOneToFourSlots) {
+  for (u32 slots = 1; slots <= 4; ++slots) {
+    std::string diag;
+    EXPECT_EQ(DdrLayout::validate(DdrLayout::regions(), slots, &diag),
+              Status::kOk)
+        << slots << " slots: " << diag;
+    EXPECT_NO_THROW(DdrLayout{slots});
+  }
+}
+
+TEST(DdrLayout, OverlapIsAHardErrorNamingBothRegions) {
+  const std::vector<DdrRegion> table{
+      {"alpha", 0x8800'0000, 0x0100'0000, false, "test"},
+      {"beta", 0x8880'0000, 0x0100'0000, false, "test"}};
+  std::string diag;
+  EXPECT_EQ(DdrLayout::validate(table, 1, &diag), Status::kInvalidArgument);
+  EXPECT_NE(diag.find("overlap"), std::string::npos) << diag;
+  EXPECT_NE(diag.find("alpha"), std::string::npos) << diag;
+  EXPECT_NE(diag.find("beta"), std::string::npos) << diag;
+}
+
+TEST(DdrLayout, RegionPastTheEndOfDdrIsAnError) {
+  const std::vector<DdrRegion> table{
+      {"tail", 0xBFF0'0000, 0x0020'0000, false, "test"}};
+  std::string diag;
+  EXPECT_EQ(DdrLayout::validate(table, 1, &diag), Status::kInvalidArgument);
+  EXPECT_NE(diag.find("tail"), std::string::npos) << diag;
+  EXPECT_NE(diag.find("outside DDR"), std::string::npos) << diag;
+}
+
+TEST(DdrLayout, SlotStrideRunningIntoTheNextRegionFailsStackConstruction) {
+  // Five 16 MiB staging windows from 0x8800'0000 reach the readback
+  // scratch at 0x8C00'0000; the stack must refuse to wire them.
+  SocConfig cfg;
+  cfg.num_slots = 5;
+  ArianeSoc soc(cfg);
+  try {
+    driver::Stack stack(soc, driver::Stack::Parts{});
+    FAIL() << "a 5-slot stack was built over an exhausted staging region";
+  } catch (const std::invalid_argument& e) {
+    const std::string diag = e.what();
+    EXPECT_NE(diag.find("pbit-staging"), std::string::npos) << diag;
+    EXPECT_NE(diag.find("readback"), std::string::npos) << diag;
+  }
+}
+
+// ---------------------------------------------------------------------
 // World: two-slot SoC with per-slot manager/service stacks.
 // ---------------------------------------------------------------------
 
-constexpr Addr kGoldenBase = 0xA000'0000;      // per-slot golden pbits
-constexpr Addr kCaptureArena = 0x9800'0000;
-constexpr Addr kRestoreStaging = 0x9E00'0000;
-constexpr Addr kCmdStaging = 0x9F00'0000;      // + slot * 0x10000
-constexpr Addr kDataBase = 0xB000'0000;        // task src/dst buffers
+using test::kDataBase;
 
-SlotScheduler::Config sched_config() {
-  SlotScheduler::Config cc;
-  cc.capture_arena = kCaptureArena;
-  cc.capture_areas = 4;
-  cc.restore_staging = kRestoreStaging;
-  cc.default_chunk_bytes = 512;
-  cc.aging_quantum_mtime = 0;  // aging off unless a test turns it on
-  return cc;
-}
-
-struct SlotWorld {
+struct SlotWorld : test::ServingWorld {
   explicit SlotWorld(u32 num_slots = 2,
                      sim::Simulator::Mode mode =
-                         sim::Simulator::Mode::kScheduled)
-      : soc(make_config(num_slots, mode)), drv(soc.cpu(), soc.plic()),
-        fi(0x5EED) {
-    soc.attach_fault_injector(&fi);
+                         sim::Simulator::Mode::kScheduled,
+                     const SlotScheduler::Config& cc =
+                         test::serving_sched_config())
+      : ServingWorld(num_slots, mode, parts(cc)) {
+    // Each slot stages its own golden images (frame addresses are
+    // per-partition).
     for (u32 s = 0; s < num_slots; ++s) {
-      DprManager::Config mc;
-      mc.staging_base = 0x8E00'0000 + u64{s} * 0x0100'0000;
-      mc.slot_id = s;
-      mgrs.push_back(std::make_unique<DprManager>(
-          drv, soc.config_memory(), soc.slot_handle(s), nullptr, mc));
-      mgrs.back()->set_fault_injector(&fi);
-      ReconfigService::Config sc;
-      sc.slot_id = s;
-      svcs.push_back(std::make_unique<ReconfigService>(*mgrs[s], sc));
-      stage(s, "cipher", accel::kRmIdCipher);
-      stage(s, "fir", accel::kRmIdFir);
-      stage(s, "sobel", accel::kRmIdSobel);
-    }
-    rebuild_scheduler(sched_config());
-  }
-
-  static SocConfig make_config(u32 num_slots, sim::Simulator::Mode mode) {
-    SocConfig cfg;
-    cfg.num_slots = num_slots;
-    cfg.sim_mode = mode;
-    return cfg;
-  }
-
-  void rebuild_scheduler(const SlotScheduler::Config& cc) {
-    sched = std::make_unique<SlotScheduler>(drv, cc);
-    sched->set_fault_injector(&fi);
-    for (u32 s = 0; s < soc.num_slots(); ++s) {
-      sched->add_slot({s, svcs[s].get(), mgrs[s].get(), &soc.slot_rm(s),
-                       &soc.config_memory(), soc.slot_handle(s),
-                       kCmdStaging + u64{s} * 0x10000});
+      EXPECT_EQ(stack.stage(s, "cipher", accel::kRmIdCipher), Status::kOk);
+      EXPECT_EQ(stack.stage(s, "fir", accel::kRmIdFir), Status::kOk);
+      EXPECT_EQ(stack.stage(s, "sobel", accel::kRmIdSobel), Status::kOk);
     }
   }
 
-  /// Generate a slot's golden pbit (frame addresses are per-partition)
-  /// and register it with that slot's manager.
-  void stage(u32 s, const char* name, u32 rm_id) {
-    const auto pbit = bitstream::generate_partial_bitstream(
-        soc.device(), soc.slot_partition(s), {rm_id, name});
-    const Addr addr = kGoldenBase + (u64{s} * 3 + staged_[s]) * 0x0040'0000;
-    ++staged_[s];
-    soc.ddr().poke(addr, pbit);
-    ASSERT_EQ(mgrs[s]->register_staged(name, rm_id, addr,
-                                       static_cast<u32>(pbit.size())),
-              Status::kOk);
-  }
-
-  /// A cipher task: `bytes` of seeded data XOR-encrypted under `key`.
-  Task cipher_task(u64 key, u32 bytes, u32 priority, Addr src, Addr dst,
-                   u64 seed) {
-    SplitMix64 rng(seed);
-    std::vector<u8> plain(bytes);
-    for (auto& b : plain) b = rng.next_byte();
-    soc.ddr().poke(src, plain);
-    Task t;
-    t.module = "cipher";
-    t.rm_id = accel::kRmIdCipher;
-    t.priority = priority;
-    t.src = src;
-    t.dst = dst;
-    t.total_bytes = bytes;
-    t.setup_regs = {{0, static_cast<u32>(key)},
-                    {1, static_cast<u32>(key >> 32)}};
-    return t;
-  }
-
-  /// Expected cipher output: the keystream restarts per chunk (each
-  /// run_accelerator transfer is one AXI-Stream packet).
-  std::vector<u8> cipher_golden(u64 key, Addr src, u32 bytes,
-                                u32 chunk_bytes) {
-    std::vector<u8> plain(bytes);
-    soc.ddr().peek(src, plain);
-    std::vector<u8> out(bytes);
-    for (u32 off = 0; off < bytes; off += chunk_bytes) {
-      const u32 n = std::min(chunk_bytes, bytes - off);
-      for (u32 beat = 0; beat < n / 8; ++beat) {
-        u64 p = 0;
-        std::memcpy(&p, plain.data() + off + beat * 8, 8);
-        const u64 c = p ^ StreamCipher::keystream(key, beat);
-        std::memcpy(out.data() + off + beat * 8, &c, 8);
-      }
-    }
-    return out;
+  static driver::Stack::Parts parts(const SlotScheduler::Config& cc) {
+    driver::Stack::Parts p;
+    p.scheduler = cc;
+    return p;
   }
 
   /// A Sobel task over one `dim` x `dim` frame.
@@ -258,12 +222,6 @@ struct SlotWorld {
     return accel::apply_golden(accel::FilterKind::kSobel, img).pixels;
   }
 
-  std::vector<u8> read_dst(Addr dst, u32 bytes) {
-    std::vector<u8> out(bytes);
-    soc.ddr().peek(dst, out);
-    return out;
-  }
-
   bool journal_has(Swap kind) {
     for (const auto& e : sched->journal()) {
       if (e.kind == kind) return true;
@@ -271,13 +229,7 @@ struct SlotWorld {
     return false;
   }
 
-  ArianeSoc soc;
-  driver::RvCapDriver drv;
-  FaultInjector fi;
-  std::vector<std::unique_ptr<DprManager>> mgrs;
-  std::vector<std::unique_ptr<ReconfigService>> svcs;
-  std::unique_ptr<SlotScheduler> sched;
-  u32 staged_[16] = {};
+  DprManager& mgr(u32 slot) { return stack.manager(slot); }
 };
 
 // ---------------------------------------------------------------------
@@ -556,7 +508,7 @@ TEST(SlotRecovery, WedgedSwapBecomesDiagnosedHang) {
   // completed with golden output — no silent corruption, no lost task.
   EXPECT_EQ(w.sched->task(a)->state, TaskState::kCompleted);
   EXPECT_GE(w.sched->stats().swap_hangs, 1u);
-  EXPECT_GE(w.svcs[w.sched->task(a)->slot]->stats().hangs, 1u);
+  EXPECT_GE(w.stack.service(w.sched->task(a)->slot).stats().hangs, 1u);
   EXPECT_TRUE(w.journal_has(Swap::kSwapHang));
   EXPECT_EQ(w.read_dst(kDataBase + 0x10000, 4 * 512),
             w.cipher_golden(key, kDataBase, 4 * 512, 512));
@@ -567,10 +519,9 @@ TEST(SlotRecovery, WedgedSwapBecomesDiagnosedHang) {
 // ---------------------------------------------------------------------
 
 TEST(SlotOversubscription, ShedsArePrioritySafeBothWays) {
-  SlotWorld w(1);
-  SlotScheduler::Config cc = sched_config();
+  SlotScheduler::Config cc = test::serving_sched_config();
   cc.queue_capacity = 2;
-  w.rebuild_scheduler(cc);
+  SlotWorld w(1, sim::Simulator::Mode::kScheduled, cc);
 
   const u64 key = 0xFEED5EED0BADF00DULL;
   std::vector<SlotScheduler::TaskId> ids(4, 0);
@@ -618,10 +569,9 @@ TEST(SlotOversubscription, ShedsArePrioritySafeBothWays) {
 }
 
 TEST(SlotOversubscription, AgingLetsAStarvedTaskPreempt) {
-  SlotWorld w(1);
-  SlotScheduler::Config cc = sched_config();
+  SlotScheduler::Config cc = test::serving_sched_config();
   cc.aging_quantum_mtime = 500;  // fast aging for the test
-  w.rebuild_scheduler(cc);
+  SlotWorld w(1, sim::Simulator::Mode::kScheduled, cc);
 
   const u64 key = 0x5107A61267890123ULL;
   // A long-running priority-2 hog and a queued priority-0 task.
@@ -660,28 +610,28 @@ TEST(SlotJournal, ManagerJournalCarriesTheSlotId) {
   // Corrupt slot 1's staged cipher image: activation fails its golden
   // CRC and every journal entry must attribute to slot 1.
   DprManager::StagedInfo info;
-  ASSERT_EQ(w.mgrs[1]->staged_image("cipher", &info), Status::kOk);
+  ASSERT_EQ(w.mgr(1).staged_image("cipher", &info), Status::kOk);
   u8 byte = 0;
   w.soc.ddr().peek(info.addr + 100, std::span(&byte, 1));
   byte ^= 0x40;
   w.soc.ddr().poke(info.addr + 100, std::span(&byte, 1));
-  EXPECT_NE(w.mgrs[1]->activate("cipher"), Status::kOk);
-  const auto journal = w.mgrs[1]->journal();
+  EXPECT_NE(w.mgr(1).activate("cipher"), Status::kOk);
+  const auto journal = w.mgr(1).journal();
   ASSERT_FALSE(journal.empty());
   for (const auto& e : journal) {
     EXPECT_EQ(e.slot, 1u);
   }
   // Slot 0's manager is unaffected: its activation still succeeds, and
   // a failure of its own journals under slot 0, not slot 1.
-  EXPECT_EQ(w.mgrs[0]->activate("cipher"), Status::kOk);
-  EXPECT_TRUE(w.mgrs[0]->journal().empty());
-  ASSERT_EQ(w.mgrs[0]->staged_image("fir", &info), Status::kOk);
+  EXPECT_EQ(w.mgr(0).activate("cipher"), Status::kOk);
+  EXPECT_TRUE(w.mgr(0).journal().empty());
+  ASSERT_EQ(w.mgr(0).staged_image("fir", &info), Status::kOk);
   w.soc.ddr().peek(info.addr + 100, std::span(&byte, 1));
   byte ^= 0x40;
   w.soc.ddr().poke(info.addr + 100, std::span(&byte, 1));
-  EXPECT_NE(w.mgrs[0]->activate("fir"), Status::kOk);
-  ASSERT_FALSE(w.mgrs[0]->journal().empty());
-  for (const auto& e : w.mgrs[0]->journal()) {
+  EXPECT_NE(w.mgr(0).activate("fir"), Status::kOk);
+  ASSERT_FALSE(w.mgr(0).journal().empty());
+  for (const auto& e : w.mgr(0).journal()) {
     EXPECT_EQ(e.slot, 0u);
   }
 }
