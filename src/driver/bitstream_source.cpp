@@ -175,28 +175,8 @@ u16 BitstreamDelivery::image_id(std::string_view image) {
 
 void BitstreamDelivery::record(std::string_view image, DeliveryPath path,
                                Status status, Cycles cycles) {
-  Record r;
-  r.image = std::string(image);
-  r.path = path;
-  r.status = status;
-  r.cycles = cycles;
-  if (journal_.size() < kJournalCapacity) {
-    journal_.push_back(std::move(r));
-  } else {
-    journal_[journal_events_ % kJournalCapacity] = std::move(r);
-  }
-  ++journal_events_;
+  journal_.push({std::string(image), path, status, cycles});
   delivery_hist_->record(cycles);
-}
-
-std::vector<BitstreamDelivery::Record> BitstreamDelivery::journal() const {
-  std::vector<Record> out;
-  const u64 n = std::min<u64>(journal_events_, kJournalCapacity);
-  out.reserve(n);
-  for (u64 i = journal_events_ - n; i < journal_events_; ++i) {
-    out.push_back(journal_[i % kJournalCapacity]);
-  }
-  return out;
 }
 
 Status BitstreamDelivery::fetch(std::string_view image, Addr dest,

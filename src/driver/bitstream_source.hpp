@@ -24,6 +24,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/ring.hpp"
 #include "common/status.hpp"
 #include "cpu/cpu.hpp"
 #include "net/net_fetcher.hpp"
@@ -174,8 +175,8 @@ class BitstreamDelivery : public BitstreamSource {
   bool has_image(std::string_view image) const override;
   std::string_view source_name() const override { return "delivery"; }
 
-  std::vector<Record> journal() const;
-  u64 journal_events() const { return journal_events_; }
+  std::vector<Record> journal() const { return journal_.snapshot(); }
+  u64 journal_events() const { return journal_.events(); }
 
   u64 deliveries_ok() const { return ok_; }
   u64 cache_hits() const { return cache_hits_; }
@@ -193,8 +194,7 @@ class BitstreamDelivery : public BitstreamSource {
   BitstreamSource* fallback_ = nullptr;
   BitstreamCache* cache_ = nullptr;
 
-  std::vector<Record> journal_;
-  u64 journal_events_ = 0;
+  BoundedRing<Record, kJournalCapacity> journal_;
   std::map<std::string, u16, std::less<>> image_ids_;
 
   obs::TraceSink* sink_ = nullptr;

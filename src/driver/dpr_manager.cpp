@@ -1,7 +1,5 @@
 #include "driver/dpr_manager.hpp"
 
-#include <algorithm>
-
 #include "bitstream/generator.hpp"
 #include "common/bytes.hpp"
 #include "common/log.hpp"
@@ -205,14 +203,8 @@ void DprManager::intent(IntentOp op, u32 rm_id, u8 flags, u32 arg0) {
 
 void DprManager::record(FailStage stage, Status status, u32 rm_id,
                         u32 attempt) {
-  JournalEntry& e = journal_[journal_events_ % kJournalCapacity];
-  e.mtime = drv_.mtime();
-  e.stage = stage;
-  e.status = status;
-  e.rm_id = rm_id;
-  e.attempt = attempt;
-  e.slot = config_.slot_id;
-  ++journal_events_;
+  journal_.push({drv_.mtime(), stage, status, rm_id, attempt,
+                 config_.slot_id});
   // Mirror the volatile ring's tail into the persistent journal so a
   // post-reboot diagnosis sees the pre-crash failure history. The
   // packed arg0 round-trips through RecoveryManager::decode_failure.
@@ -220,16 +212,6 @@ void DprManager::record(FailStage stage, Status status, u32 rm_id,
          static_cast<u8>(stage),
          (static_cast<u32>(stage) << 24) |
              (static_cast<u32>(status) << 16) | (attempt & 0xFFFF));
-}
-
-std::vector<DprManager::JournalEntry> DprManager::journal() const {
-  std::vector<JournalEntry> out;
-  const u64 n = std::min<u64>(journal_events_, kJournalCapacity);
-  out.reserve(n);
-  for (u64 i = journal_events_ - n; i < journal_events_; ++i) {
-    out.push_back(journal_[i % kJournalCapacity]);
-  }
-  return out;
 }
 
 Status DprManager::blank_partition(DmaMode mode, u32 attempt) {
@@ -253,10 +235,10 @@ Status DprManager::blank_partition(DmaMode mode, u32 attempt) {
 
 void DprManager::recover_datapath(DmaMode mode, u32 attempt) {
   // Recovery state machine: DMA reset + settle + datapath abort, then
-  // (policy permitting) overwrite the partially-written partition with
-  // a blank configuration. The RP stays decoupled throughout.
+  // overwrite the partially-written partition with a blank
+  // configuration. The RP stays decoupled throughout.
   drv_.cleanup_after_failure();
-  if (policy_.blank_on_failure) blank_partition(mode, attempt);
+  blank_partition(mode, attempt);
 }
 
 Status DprManager::activate(std::string_view name, DmaMode mode,
@@ -285,8 +267,7 @@ Status DprManager::activate(std::string_view name, DmaMode mode,
   drv_.decouple_accel(true);
   Status last = Status::kInternal;
   bool failed_once = false;
-  const u32 attempts = std::max<u32>(1, policy_.max_attempts);
-  for (u32 attempt = 1; attempt <= attempts; ++attempt) {
+  for (u32 attempt = 1; attempt <= kMaxAttempts; ++attempt) {
     if (auto s = ensure_staged(*m); !ok(s)) {
       last = s;
       ++stats_.staging_failures;
@@ -295,8 +276,7 @@ Status DprManager::activate(std::string_view name, DmaMode mode,
       continue;
     }
 
-    if (policy_.verify_staged_crc &&
-        drv_.cpu_context().crc32_buffer(m->staged_addr, m->pbit_size) !=
+    if (drv_.cpu_context().crc32_buffer(m->staged_addr, m->pbit_size) !=
             m->crc32) {
       last = Status::kCrcError;
       ++stats_.staged_crc_failures;
@@ -393,7 +373,7 @@ Status DprManager::activate(std::string_view name, DmaMode mode,
   // Retry budget spent. The RP is left decoupled over a blanked
   // partition — never coupled to a partial or corrupt configuration.
   ++stats_.retries_exhausted;
-  record(FailStage::kExhausted, last, m->rm_id, attempts);
+  record(FailStage::kExhausted, last, m->rm_id, kMaxAttempts);
   intent(IntentOp::kReconfigAbort, m->rm_id, 0,
          static_cast<u32>(last));
   return last;

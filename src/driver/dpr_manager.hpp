@@ -16,11 +16,11 @@
 // partition. Every event lands in a fixed-size failure journal.
 #pragma once
 
-#include <array>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/ring.hpp"
 #include "driver/hwicap_driver.hpp"
 #include "driver/recovery_journal.hpp"
 #include "driver/rvcap_driver.hpp"
@@ -59,14 +59,16 @@ class DprManager {
     u32 slot_id = 0;
   };
 
+  /// Total tries per activate() call. Every try CRCs the staged DDR
+  /// image before the ICAP, and every failed transfer blanks the
+  /// partition before the next one.
+  static constexpr u32 kMaxAttempts = 3;
+
   /// Knobs of the self-healing activation flow.
   struct RecoveryPolicy {
-    u32 max_attempts = 3;          // total tries per activate() call
-    bool verify_staged_crc = true; // CRC the DDR image before the ICAP
     bool hwicap_fallback = true;   // degrade to AXI_HWICAP when attached
     u32 fallback_after_failures = 2;  // consecutive DMA-path failures
     bool scrub_after_recovery = true; // readback-verify before recouple
-    bool blank_on_failure = true;  // blank the partition after a failure
   };
 
   /// One failure-journal record; the journal is a fixed ring of the
@@ -200,8 +202,8 @@ class DprManager {
   std::string module_for_rm(u32 rm_id) const;
 
   /// Journal entries, oldest first (at most kJournalCapacity retained).
-  std::vector<JournalEntry> journal() const;
-  u64 journal_events() const { return journal_events_; }
+  std::vector<JournalEntry> journal() const { return journal_.snapshot(); }
+  u64 journal_events() const { return journal_.events(); }
 
   const Stats& stats() const { return stats_; }
   double total_reconfig_us() const {
@@ -255,8 +257,7 @@ class DprManager {
   std::vector<u64> slot_last_use_;
   u64 use_clock_ = 0;
   u32 consecutive_dma_failures_ = 0;
-  std::array<JournalEntry, kJournalCapacity> journal_{};
-  u64 journal_events_ = 0;
+  BoundedRing<JournalEntry, kJournalCapacity> journal_;
   Stats stats_;
 };
 

@@ -36,7 +36,7 @@ u32 HwIcapDriver::read_fifo_vacancy() {
 }
 
 Status HwIcapDriver::icap_done(u32 flushed_words) {
-  const u32 bound = timeouts_.done_bound(flushed_words);
+  const u32 bound = done_bound(flushed_words);
   for (u32 i = 0; i < bound; ++i) {
     if (cpu_.load32_uncached(base_ + HwIcap::kSr) & HwIcap::kSrDone) {
       return Status::kOk;
@@ -131,7 +131,7 @@ Status HwIcapDriver::readback(const fabric::FrameAddr& start,
     for (u32 i = 0; i < chunk; ++i) {
       cpu_.spend_loop_overhead();
       bool ready = false;
-      for (u32 poll = 0; poll < timeouts_.rfo_poll_iters; ++poll) {
+      for (u32 poll = 0; poll < kRfoPollIters; ++poll) {
         if (cpu_.load32_uncached(base_ + HwIcap::kRfo) != 0) {
           ready = true;
           break;

@@ -22,28 +22,14 @@ class HwIcapDriver {
     double reconfig_us() const { return TimerDriver::ticks_to_us(reconfig_ticks); }
   };
 
-  /// Poll bounds for the driver's blocking loops. done_poll_iters
-  /// defaults to 0 = "derive from the number of words just flushed":
-  /// the ICAPE consumes roughly a word per cycle while each poll
-  /// iteration costs an uncached-read round trip, so floor + words x
-  /// slack bounds any healthy flush with orders-of-magnitude margin.
-  /// A non-zero field overrides the derivation (tests shrink it).
-  struct Timeouts {
-    u32 done_poll_iters = 0;       // SR.Done poll after a CR write
-    u32 rfo_poll_iters = 100'000;  // read-FIFO-occupancy poll
-
-    u32 done_iters_floor = 5'000;  // covers CR latency + tiny flushes
-    u32 done_iters_per_word = 16;
-
-    u32 done_bound(u32 words) const {
-      if (done_poll_iters != 0) return done_poll_iters;
-      const u64 v = u64{done_iters_floor} + u64{words} * done_iters_per_word;
-      return v > 0xFFFF'FFFFull ? 0xFFFF'FFFFu : static_cast<u32>(v);
-    }
-  };
-
-  void set_timeouts(const Timeouts& t) { timeouts_ = t; }
-  const Timeouts& timeouts() const { return timeouts_; }
+  /// Poll bounds for the driver's blocking loops. The SR.Done bound is
+  /// derived from the number of words just flushed: the ICAPE consumes
+  /// roughly a word per cycle while each poll iteration costs an
+  /// uncached-read round trip, so floor + words x slack bounds any
+  /// healthy flush with orders-of-magnitude margin.
+  static constexpr u32 kRfoPollIters = 100'000;  // read-FIFO occupancy
+  static constexpr u32 kDoneItersFloor = 5'000;  // CR latency, tiny flushes
+  static constexpr u32 kDoneItersPerWord = 16;
 
   HwIcapDriver(cpu::CpuContext& cpu, u32 unroll_factor = 16,
                Addr hwicap_base = soc::MemoryMap::kHwicap.base,
@@ -84,6 +70,10 @@ class HwIcapDriver {
   ProgressMonitor* progress_monitor() const { return monitor_; }
 
  private:
+  static constexpr u32 done_bound(u32 words) {
+    const u64 v = u64{kDoneItersFloor} + u64{words} * kDoneItersPerWord;
+    return v > 0xFFFF'FFFFull ? 0xFFFF'FFFFu : static_cast<u32>(v);
+  }
   u32 read_fifo_vacancy();
   Status icap_done(u32 flushed_words);  // poll SR until the flush completes
 
@@ -93,7 +83,6 @@ class HwIcapDriver {
   Addr rp_base_;
   TimerDriver timer_;
   Timing timing_;
-  Timeouts timeouts_;
   ProgressMonitor* monitor_ = nullptr;
 };
 

@@ -94,8 +94,8 @@ bool PlacementEngine::can_place(std::string_view name, u32 region) const {
 
 Status PlacementEngine::claim_arena_slot(Addr* addr) {
   if (cfg_.reloc_arena == 0) return Status::kInvalidArgument;
-  if (next_arena_slot_ >= cfg_.reloc_slots) return Status::kNoSpace;
-  *addr = cfg_.reloc_arena + u64{next_arena_slot_} * cfg_.reloc_slot_bytes;
+  if (next_arena_slot_ >= kRelocSlots) return Status::kNoSpace;
+  *addr = cfg_.reloc_arena + u64{next_arena_slot_} * kRelocSlotBytes;
   ++next_arena_slot_;
   return Status::kOk;
 }
@@ -116,7 +116,7 @@ Status PlacementEngine::ensure_source(ModuleSpec& m) {
   Status st = claim_arena_slot(&addr);
   if (!ok(st)) return st;
   u32 bytes = 0;
-  st = source_->fetch(m.image, addr, cfg_.reloc_slot_bytes, &bytes);
+  st = source_->fetch(m.image, addr, kRelocSlotBytes, &bytes);
   if (!ok(st)) {
     --next_arena_slot_;  // fetch landed nothing; reuse the slot
     return st;
@@ -178,7 +178,7 @@ Status PlacementEngine::materialize(std::string_view name, u32 region,
   const std::string key = variant_key(*m, region);
   if (variants_ != nullptr) {
     u32 bytes = 0;
-    if (variants_->lookup(key, addr, cfg_.reloc_slot_bytes, &bytes)) {
+    if (variants_->lookup(key, addr, kRelocSlotBytes, &bytes)) {
       Variant v{std::string(name), region, addr, bytes,
                 drv_.cpu_context().crc32_buffer(addr, bytes)};
       materialized_.push_back(std::move(v));
@@ -214,7 +214,7 @@ Status PlacementEngine::materialize(std::string_view name, u32 region,
     return st;
   }
   const bitstream::PreflightReport report = bitstream::preflight_check(
-      moved, alloc_.device(), alloc_.partition(region), cfg_.expected_idcode);
+      moved, alloc_.device(), alloc_.partition(region), bitstream::kIdCode);
   if (!ok(report.status)) {
     ++stats_.reloc_failures;
     --next_arena_slot_;
@@ -222,7 +222,7 @@ Status PlacementEngine::materialize(std::string_view name, u32 region,
           static_cast<u64>(report.status));
     return report.status;
   }
-  if (moved.size() > cfg_.reloc_slot_bytes) {
+  if (moved.size() > kRelocSlotBytes) {
     ++stats_.reloc_failures;
     --next_arena_slot_;
     return Status::kNoSpace;

@@ -20,7 +20,6 @@
 #include <string_view>
 #include <vector>
 
-#include "bitstream/packets.hpp"
 #include "driver/bitstream_source.hpp"
 #include "driver/dpr_manager.hpp"
 #include "fabric/placement.hpp"
@@ -29,14 +28,16 @@ namespace rvcap::driver {
 
 class PlacementEngine {
  public:
+  /// Relocation-arena geometry: kRelocSlots slots of kRelocSlotBytes,
+  /// each holding one materialized variant or remote source image.
+  static constexpr u32 kRelocSlotBytes = 1 << 20;
+  static constexpr u32 kRelocSlots = 16;
+
   struct Config {
-    // ---- relocation arena (DDR): materialized variants + remote
-    // source images. Slots are permanent once claimed (a registered
-    // staged image must never be overwritten underneath its manager).
+    // ---- relocation arena (DDR). Slots are permanent once claimed (a
+    // registered staged image must never be overwritten underneath its
+    // manager).
     Addr reloc_arena = 0;
-    u32 reloc_slot_bytes = 1 << 20;
-    u32 reloc_slots = 16;
-    u32 expected_idcode = bitstream::kIdCode;  // preflight re-validation
   };
 
   /// A module registered once, against its home region.

@@ -11,6 +11,7 @@
 #pragma once
 
 #include "common/types.hpp"
+#include "common/units.hpp"
 
 namespace rvcap::driver {
 
@@ -42,6 +43,42 @@ class ProgressMonitor {
   /// Mid-wait snapshot. Return false to abort the wait: the driver
   /// stops waiting and returns Status::kHang to its caller.
   virtual bool on_poll(const TransferProgress& p) = 0;
+};
+
+/// Frozen-counter detection shared by the watchdog monitors
+/// (ReconfigService, SlotScheduler). A slow transfer still moves
+/// between probes; a counter frozen across kStallPolls probes is a hang.
+class StallTracker {
+ public:
+  static constexpr u64 kIntervalTicks = 50;  // CLINT ticks between probes
+  static constexpr u32 kStallPolls = 4;      // frozen probes => hang
+  static constexpr u64 kPollIntervalCycles =
+      kIntervalTicks * kCyclesPerClintTick;
+
+  void start(u64 expected_beats) {
+    expected_beats_ = expected_beats;
+    last_beats_ = 0;
+    stalled_polls_ = 0;
+  }
+
+  /// False once the counter is frozen; progress (or a new job's
+  /// counter reset) clears the stall count.
+  bool poll(u32 beats) {
+    if (beats != last_beats_) {
+      last_beats_ = beats;
+      stalled_polls_ = 0;
+      return true;
+    }
+    return ++stalled_polls_ < kStallPolls;
+  }
+
+  u64 expected_beats() const { return expected_beats_; }
+  u32 stalled_polls() const { return stalled_polls_; }
+
+ private:
+  u64 expected_beats_ = 0;
+  u32 last_beats_ = 0;
+  u32 stalled_polls_ = 0;
 };
 
 }  // namespace rvcap::driver

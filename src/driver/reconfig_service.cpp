@@ -142,13 +142,11 @@ Status ReconfigService::submit(const ActivationRequest& req, RequestId* id) {
   }
 
   // Pre-flight parse of the staged image (stages it on a miss).
-  if (cfg_.preflight) {
-    if (auto st = preflight(req); !ok(st)) {
-      RequestRecord& r = make_record(RequestState::kRejected, st);
-      trace(obs::EventKind::kSvcSubmit, r.id, req.priority);
-      trace(obs::EventKind::kSvcReject, r.id, static_cast<u64>(st));
-      return st == Status::kRejected ? Status::kRejected : st;
-    }
+  if (auto st = preflight(req); !ok(st)) {
+    RequestRecord& r = make_record(RequestState::kRejected, st);
+    trace(obs::EventKind::kSvcSubmit, r.id, req.priority);
+    trace(obs::EventKind::kSvcReject, r.id, static_cast<u64>(st));
+    return st;
   }
 
   // Coalesce with a queued request for the same module: the survivor
@@ -265,7 +263,8 @@ bool ReconfigService::step() {
   RvCapDriver& drv = mgr_.driver();
   ProgressMonitor* const prev = drv.progress_monitor();
   drv.set_progress_monitor(this);
-  const Status s = mgr_.activate(r->req.module, cfg_.mode, r->req.force);
+  const Status s =
+      mgr_.activate(r->req.module, DmaMode::kInterrupt, r->req.force);
   drv.set_progress_monitor(prev);
   active_ = 0;
 
@@ -292,40 +291,26 @@ usize ReconfigService::drain() {
   return n;
 }
 
-void ReconfigService::on_start(u64 expected_beats) {
-  wd_expected_beats_ = expected_beats;
-  wd_last_beats_ = 0;
-  wd_stalled_polls_ = 0;
-  wd_tripped_ = false;
-}
-
 bool ReconfigService::on_poll(const TransferProgress& p) {
-  if (p.beats != wd_last_beats_) {
-    // Progress (or a new job's counter reset): the engine is alive.
-    wd_last_beats_ = p.beats;
-    wd_stalled_polls_ = 0;
-    return true;
-  }
-  if (++wd_stalled_polls_ < cfg_.watchdog_stall_polls) return true;
+  if (stall_.poll(p.beats)) return true;
 
   // Counter frozen across N probes: declare the transfer wedged and
   // abort the wait. The driver returns kHang; the DprManager's recovery
   // state machine takes it from there (cleanup, blank, retry/fallback).
   ++stats_.hangs;
-  wd_tripped_ = true;
+  const u64 expected = stall_.expected_beats();
   HangDiagnosis d;
   d.mtime = p.mtime;
   d.request = active_;
   d.snapshot = p;
-  d.expected_beats = wd_expected_beats_;
-  d.outstanding_beats =
-      wd_expected_beats_ > p.beats ? wd_expected_beats_ - p.beats : 0;
-  d.polls_without_progress = wd_stalled_polls_;
+  d.expected_beats = expected;
+  d.outstanding_beats = expected > p.beats ? expected - p.beats : 0;
+  d.polls_without_progress = stall_.stalled_polls();
   hangs_.push_back(d);
   trace(obs::EventKind::kSvcHang, active_, d.outstanding_beats,
         d.polls_without_progress);
   log_warn("reconfig_service: watchdog hang, beats frozen at ", p.beats,
-           " of ", wd_expected_beats_);
+           " of ", expected);
   return false;
 }
 

@@ -49,13 +49,7 @@ class ReconfigService : public ProgressMonitor {
 
   struct Config {
     usize queue_capacity = 8;
-    DmaMode mode = DmaMode::kInterrupt;
-    // ---- admission ----
-    bool preflight = true;
-    u32 expected_idcode = bitstream::kIdCode;
-    // ---- watchdog ----
-    u64 watchdog_interval_ticks = 50;  // CLINT ticks between probes
-    u32 watchdog_stall_polls = 4;      // frozen probes => hang
+    u32 expected_idcode = bitstream::kIdCode;  // admission preflight
     u32 slot_id = 0;  // RP slot this service serves (intent-record tag)
   };
 
@@ -154,9 +148,9 @@ class ReconfigService : public ProgressMonitor {
 
   // ---- ProgressMonitor (installed on the drivers during dispatch) ----
   u64 poll_interval_cycles() const override {
-    return cfg_.watchdog_interval_ticks * kCyclesPerClintTick;
+    return StallTracker::kPollIntervalCycles;
   }
-  void on_start(u64 expected_beats) override;
+  void on_start(u64 expected_beats) override { stall_.start(expected_beats); }
   bool on_poll(const TransferProgress& p) override;
 
  private:
@@ -177,11 +171,7 @@ class ReconfigService : public ProgressMonitor {
   RequestId next_id_ = 1;
   RequestId active_ = 0;  // request currently dispatched (0 = none)
 
-  // Watchdog state for the in-flight transfer.
-  u64 wd_expected_beats_ = 0;
-  u32 wd_last_beats_ = 0;
-  u32 wd_stalled_polls_ = 0;
-  bool wd_tripped_ = false;
+  StallTracker stall_;  // watchdog state for the in-flight transfer
 
   // Observability (bound to the CPU's simulator at construction).
   obs::TraceSink* sink_ = nullptr;

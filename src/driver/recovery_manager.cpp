@@ -34,8 +34,8 @@ bool is_good_close(IntentOp op) {
 }  // namespace
 
 RecoveryManager::RecoveryManager(cpu::CpuContext& cpu,
-                                 RecoveryJournal& journal, const Config& cfg)
-    : cpu_(cpu), journal_(journal), cfg_(cfg) {
+                                 RecoveryJournal& journal)
+    : cpu_(cpu), journal_(journal) {
   obs::Observability& o = cpu_.simulator().obs();
   sink_ = &o.sink();
   src_ = sink_->intern("recovery_manager");
@@ -105,7 +105,7 @@ void RecoveryManager::classify_slots(std::vector<SlotReport>* out) const {
 }
 
 bool RecoveryManager::crash_looping(u32 rm_id) const {
-  if (rm_id == 0 || cfg_.crash_loop_threshold == 0) return false;
+  if (rm_id == 0) return false;
   // Split the pre-boot-mark record stream into boot epochs and count
   // how many consecutive TRAILING epochs end with an unmatched
   // kReconfigStart for this rm. Each such epoch is one boot that died
@@ -134,7 +134,7 @@ bool RecoveryManager::crash_looping(u32 rm_id) const {
     if (!*it) break;
     ++consecutive;
   }
-  return consecutive >= cfg_.crash_loop_threshold;
+  return consecutive >= kCrashLoopThreshold;
 }
 
 void RecoveryManager::replay_pending(u64 crash_mtime, Report* rep) {
@@ -272,10 +272,10 @@ Status RecoveryManager::recover(Report* out) {
       q.slot = static_cast<u16>(s.slot);
       q.rm_id = s.rm_id;
       q.mtime = b->mgr->driver().mtime();
-      q.arg0 = cfg_.crash_loop_threshold;
+      q.arg0 = kCrashLoopThreshold;
       (void)journal_.append(q);
       trace(obs::EventKind::kRecovQuarantine, s.rm_id,
-            cfg_.crash_loop_threshold);
+            kCrashLoopThreshold);
       // Deliberately-not-loaded is a safe, known state: the slot stays
       // blank instead of crash-looping the boot path.
       s.verified = true;
@@ -290,9 +290,9 @@ Status RecoveryManager::recover(Report* out) {
     // force: the SRAM fabric is blank no matter what any rebuilt
     // tracker believes — rewrite every frame from the golden image.
     s.reload = b->mgr->activate(module, DmaMode::kInterrupt, /*force=*/true);
-    if (ok(s.reload)) {
-      s.verified = !cfg_.verify_golden || b->mgr->active_module() == module;
-    }
+    // Re-check the reloaded module by name on top of the self-healing
+    // verify inside activate().
+    s.verified = ok(s.reload) && b->mgr->active_module() == module;
     if (s.verified) {
       ++rep.golden_reloads;
       ++verified_slots;

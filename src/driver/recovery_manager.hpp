@@ -47,14 +47,9 @@ class RecoveryManager {
   /// client_id stamped on re-submitted (replayed) service requests.
   static constexpr u32 kClientId = 0xEC;
 
-  struct Config {
-    /// Interrupted activations of the same rm in this many consecutive
-    /// trailing boot epochs quarantine the module instead of reloading.
-    u32 crash_loop_threshold = 3;
-    /// Re-check the reloaded module name against the manager after
-    /// activate() (belt-and-braces on top of the self-healing verify).
-    bool verify_golden = true;
-  };
+  /// Interrupted activations of the same rm in this many consecutive
+  /// trailing boot epochs quarantine the module instead of reloading.
+  static constexpr u32 kCrashLoopThreshold = 3;
 
   /// Post-replay classification of one slot.
   enum class SlotVerdict : u8 {
@@ -95,10 +90,7 @@ class RecoveryManager {
     std::vector<PrecrashFailure> precrash_failures;
   };
 
-  RecoveryManager(cpu::CpuContext& cpu, RecoveryJournal& journal,
-                  const Config& cfg);
-  RecoveryManager(cpu::CpuContext& cpu, RecoveryJournal& journal)
-      : RecoveryManager(cpu, journal, Config{}) {}
+  RecoveryManager(cpu::CpuContext& cpu, RecoveryJournal& journal);
 
   /// Register the rebuilt driver stack serving `slot`. The manager and
   /// service must already have the slot's modules registered so rm_ids
@@ -129,7 +121,6 @@ class RecoveryManager {
 
   cpu::CpuContext& cpu_;
   RecoveryJournal& journal_;
-  Config cfg_;
   std::vector<SlotBinding> slots_;
   Report report_;
   bool recovered_ = false;

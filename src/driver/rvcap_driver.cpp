@@ -102,7 +102,7 @@ Status RvCapDriver::init_reconfig_process_compressed(const ReconfigModule& m,
   // before touching any route (the kStDraining status bit).
   if (ok(st)) {
     bool drained = false;
-    for (u32 i = 0; i < timeouts_.drain_poll_iters; ++i) {
+    for (u32 i = 0; i < Timeouts::kDrainPollIters; ++i) {
       if (!(cpu_.load32_uncached(rp_addr(RpControl::kStatus)) &
             RpControl::kStDraining)) {
         drained = true;
@@ -177,7 +177,7 @@ Status RvCapDriver::wait_mm2s_done(DmaMode mode, u64 bytes) {
     }
   }
   // Blocking: poll the status register's IOC bit.
-  const u32 bound = timeouts_.mm2s_bound(bytes);
+  const u32 bound = Timeouts::mm2s_bound(bytes);
   Cycles next_probe =
       monitor_ != nullptr ? cpu_.now() + monitor_->poll_interval_cycles() : 0;
   for (u32 i = 0; i < bound; ++i) {
@@ -291,7 +291,7 @@ Status RvCapDriver::run_accelerator(Addr src, u32 in_bytes, Addr dst,
       cpu_.complete_irq(plic_base_ + irq::Plic::kClaimComplete, src_id);
     }
   } else {
-    const u32 bound = timeouts_.s2mm_bound(out_bytes);
+    const u32 bound = Timeouts::s2mm_bound(out_bytes);
     for (u32 i = 0; i < bound; ++i) {
       const u32 sr = cpu_.load32_uncached(dma_base_ + AxiDma::kS2mmSr);
       if (sr & AxiDma::kSrIocIrq) {
@@ -322,7 +322,7 @@ Status RvCapDriver::wait_s2mm_done(DmaMode mode, u64 bytes) {
       if (s2mm) return Status::kOk;
     }
   }
-  const u32 bound = timeouts_.s2mm_bound(bytes);
+  const u32 bound = Timeouts::s2mm_bound(bytes);
   for (u32 i = 0; i < bound; ++i) {
     const u32 sr = cpu_.load32_uncached(dma_base_ + AxiDma::kS2mmSr);
     if (sr & AxiDma::kSrIocIrq) {

@@ -27,40 +27,36 @@ class RvCapDriver {
     double reconfig_us() const { return TimerDriver::ticks_to_us(reconfig_ticks); }
   };
 
-  /// Poll/wait bounds for every blocking loop in the driver. The
-  /// per-transfer bounds default to 0 = "derive from the transfer
-  /// size": expected beats x a slack factor plus a fixed floor, so a
-  /// 4 KiB blanking pass times out orders of magnitude sooner than a
-  /// 650 KiB RM image instead of sharing one multi-million-iteration
-  /// ceiling. A non-zero field overrides the derivation (tests shrink
-  /// them so timeout paths complete in milliseconds).
+  /// Poll/wait bounds for every blocking loop in the driver, derived
+  /// from the transfer size: expected beats x a slack factor plus a
+  /// fixed floor, so a 4 KiB blanking pass times out orders of
+  /// magnitude sooner than a 650 KiB RM image instead of sharing one
+  /// multi-million-iteration ceiling. Beats are 64-bit bus beats. Each
+  /// blocking poll iteration costs a full uncached-read round trip —
+  /// many core cycles — while the engine moves about a beat per cycle,
+  /// so even a few iterations per beat is generous.
   struct Timeouts {
-    u32 mm2s_poll_iters = 0;           // MM2S completion poll (blocking)
-    u32 s2mm_poll_iters = 0;           // S2MM completion poll (blocking)
-    u32 drain_poll_iters = 4'000'000;  // decompressor drain poll
-    u64 irq_wait_cycles = 0;           // WFI bound (interrupt mode)
+    static constexpr u32 kDrainPollIters = 4'000'000;  // decompressor drain
+    static constexpr u32 kPollItersFloor = 20'000;  // setup, DDR warmup
+    static constexpr u32 kMm2sItersPerBeat = 8;
+    static constexpr u32 kS2mmItersPerBeat = 64;  // FDRO readback trickles
+    static constexpr u64 kIrqCyclesFloor = 4'000'000;  // WFI floor
+    static constexpr u64 kIrqCyclesPerBeat = 512;
 
-    // Size-derivation slack model (beats = 64-bit bus beats). Each
-    // blocking poll iteration costs a full uncached-read round trip —
-    // many core cycles — while the engine moves about a beat per
-    // cycle, so even a few iterations per beat is generous.
-    u32 poll_iters_floor = 20'000;     // MM2S floor (setup, DDR warmup)
-    u32 mm2s_iters_per_beat = 8;
-    u32 s2mm_iters_per_beat = 64;      // readback trickles out of FDRO
-    u64 irq_cycles_floor = 4'000'000;  // WFI floor (interrupt mode)
-    u64 irq_cycles_per_beat = 512;
+    /// WFI bound override (interrupt mode); 0 = derive from the size.
+    /// Fault-injection runs shrink it so a wedged transfer times out
+    /// in bounded simulated time.
+    u64 irq_wait_cycles = 0;
 
-    u32 mm2s_bound(u64 bytes) const {
-      if (mm2s_poll_iters != 0) return mm2s_poll_iters;
-      return saturate32(poll_iters_floor + beats(bytes) * mm2s_iters_per_beat);
+    static u32 mm2s_bound(u64 bytes) {
+      return saturate32(kPollItersFloor + beats(bytes) * kMm2sItersPerBeat);
     }
-    u32 s2mm_bound(u64 bytes) const {
-      if (s2mm_poll_iters != 0) return s2mm_poll_iters;
-      return saturate32(poll_iters_floor + beats(bytes) * s2mm_iters_per_beat);
+    static u32 s2mm_bound(u64 bytes) {
+      return saturate32(kPollItersFloor + beats(bytes) * kS2mmItersPerBeat);
     }
     u64 irq_bound(u64 bytes) const {
       if (irq_wait_cycles != 0) return irq_wait_cycles;
-      return irq_cycles_floor + beats(bytes) * irq_cycles_per_beat;
+      return kIrqCyclesFloor + beats(bytes) * kIrqCyclesPerBeat;
     }
 
    private:

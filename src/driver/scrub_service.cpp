@@ -181,8 +181,8 @@ void ScrubService::yield_to_queue() {
 }
 
 Status ScrubService::read_frame(const FrameAddr& fa, std::vector<u32>* out) {
-  if (auto st = drv_.readback(fa, kFrameWords, cfg_.cmd_staging,
-                              cfg_.rb_buffer, cfg_.mode);
+  if (auto st =
+          drv_.readback(fa, kFrameWords, cfg_.cmd_staging, cfg_.rb_buffer);
       !ok(st)) {
     return st;
   }
@@ -206,7 +206,7 @@ Status ScrubService::escalate_reload(const Watch& w) {
   intent(IntentOp::kScrubReload, w);
   ReconfigService::ActivationRequest req;
   req.module = w.module;
-  req.priority = cfg_.reload_priority;
+  req.priority = kReloadPriority;
   req.client_id = kClientId;
   // The partition may still track as loaded (SEUs bypass the
   // activation trackers) — force the rewrite anyway.
@@ -276,8 +276,8 @@ Status ScrubService::scrub_frame(const Watch& w) {
     // restart the partition's configuration pass, so escalate instead.
     if (cur_frame_ != 0) {
       words[d.word] ^= 1u << d.bit;
-      Status st = drv_.write_frame(fa, words, cfg_.cmd_staging, cfg_.mode);
-      if (ok(st) && cfg_.verify_rewrite) {
+      Status st = drv_.write_frame(fa, words, cfg_.cmd_staging);
+      if (ok(st)) {
         std::vector<u32> check;
         st = read_frame(fa, &check);
         if (ok(st) &&

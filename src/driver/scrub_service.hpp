@@ -48,15 +48,14 @@ class ScrubService {
  public:
   /// client_id the service stamps on its reload requests.
   static constexpr u32 kClientId = 0xC5;
+  /// Priority of escalated reloads: the lowest, so background repair
+  /// never outranks a foreground request.
+  static constexpr u32 kReloadPriority = 0;
 
   struct Config {
     Addr cmd_staging = 0;       // scratch DDR for command sequences
     Addr rb_buffer = 0;         // DDR buffer readbacks land in
     u32 frames_per_slice = 8;   // duty cycle: frames scrubbed per step()
-    u32 reload_priority = 0;    // priority of escalated reload requests
-    DmaMode mode = DmaMode::kInterrupt;
-    bool verify_rewrite = true; // re-read a rewritten frame before
-                                // counting the repair
   };
 
   /// A partition under scrub. `module` names the DprManager module to

@@ -50,26 +50,9 @@ const SlotScheduler::TaskRecord* SlotScheduler::task(TaskId id) const {
   return &tasks_[id - 1];
 }
 
-std::vector<SlotScheduler::SwapEvent> SlotScheduler::journal() const {
-  std::vector<SwapEvent> out;
-  const u64 n = std::min<u64>(journal_events_, kJournalCapacity);
-  out.reserve(n);
-  for (u64 i = journal_events_ - n; i < journal_events_; ++i) {
-    out.push_back(journal_[i % kJournalCapacity]);
-  }
-  return out;
-}
-
 void SlotScheduler::journal_event(SwapEvent::Kind kind, u32 slot,
                                   const TaskRecord& t, Status status) {
-  SwapEvent& e = journal_[journal_events_ % kJournalCapacity];
-  e.mtime = drv_.mtime();
-  e.slot = slot;
-  e.kind = kind;
-  e.task = t.id;
-  e.rm_id = t.task.rm_id;
-  e.status = status;
-  ++journal_events_;
+  journal_.push({drv_.mtime(), slot, kind, t.id, t.task.rm_id, status});
 }
 
 void SlotScheduler::intent(IntentOp op, u32 slot, u32 rm_id, u32 arg0) {
@@ -257,8 +240,7 @@ Status SlotScheduler::capture(TaskRecord& victim) {
 
   const u32 area = claim_area();
   if (area == kNoArea) return Status::kNoSpace;
-  const Addr addr =
-      cfg_.capture_arena + u64{area} * cfg_.capture_area_bytes;
+  const Addr addr = cfg_.capture_arena + u64{area} * kCaptureAreaBytes;
 
   // Readback-capture the partition's frames into the DDR area. The RP
   // is held decoupled (GCAPTURE quiesces the region); the incoming
@@ -270,7 +252,7 @@ Status SlotScheduler::capture(TaskRecord& victim) {
   u32 words = 0;
   const Status st = drv_.readback_partition(
       b.manager->device(), b.manager->partition(), b.cmd_staging, addr,
-      &words, cfg_.mode, /*hold_decoupled=*/true);
+      &words, DmaMode::kInterrupt, /*hold_decoupled=*/true);
   drv_.set_progress_monitor(prev);
   if (!ok(st)) {
     // Capture failed before any state changed: the victim stays
@@ -385,7 +367,7 @@ void SlotScheduler::rollback(TaskRecord& t, SwapEvent::Kind reason,
   journal_event(reason, s, t, cause);
   release_area(t);
 
-  if (t.rollbacks > cfg_.max_rollbacks) {
+  if (t.rollbacks > kMaxRollbacks) {
     finish(t, TaskState::kFailed, cause);
     return;
   }
@@ -458,8 +440,8 @@ void SlotScheduler::restore(TaskRecord& t) {
                     static_cast<u32>(pbit.size())};
   ProgressMonitor* const prev = drv_.progress_monitor();
   drv_.set_progress_monitor(this);
-  const Status st =
-      drv_.init_reconfig_process(rm, cfg_.mode, /*hold_decoupled=*/true);
+  const Status st = drv_.init_reconfig_process(rm, DmaMode::kInterrupt,
+                                               /*hold_decoupled=*/true);
   drv_.set_progress_monitor(prev);
   if (!ok(st)) {
     drv_.cleanup_after_failure();
@@ -636,7 +618,7 @@ void SlotScheduler::run_chunk(TaskRecord& t) {
   const u32 chunk = std::min(chunk_cfg, t.task.total_bytes - t.bytes_done);
   const Status st = drv_.run_accelerator(t.task.src + t.bytes_done, chunk,
                                          t.task.dst + t.bytes_done, chunk,
-                                         cfg_.mode);
+                                         DmaMode::kInterrupt);
   if (!ok(st)) {
     // A failed stream leaves the module state unknown: roll back to a
     // golden reload and restart rather than resume over garbage.
@@ -698,9 +680,8 @@ usize SlotScheduler::drain() {
   usize n = 0;
   // Bounded by construction: every step either streams a chunk,
   // finishes a task, or performs a recovery action that is itself
-  // bounded by max_rollbacks; the product bounds total steps.
-  const usize guard =
-      (tasks_.size() + 1) * (cfg_.max_rollbacks + 2) * 4096;
+  // bounded by kMaxRollbacks; the product bounds total steps.
+  const usize guard = (tasks_.size() + 1) * (kMaxRollbacks + 2) * 4096;
   while (n < guard && step()) ++n;
   return n;
 }
@@ -818,21 +799,10 @@ Status SlotScheduler::preempt_slot(u32 slot) {
   return capture(*t);
 }
 
-void SlotScheduler::on_start(u64 expected_beats) {
-  wd_expected_beats_ = expected_beats;
-  wd_last_beats_ = 0;
-  wd_stalled_polls_ = 0;
-}
-
 bool SlotScheduler::on_poll(const TransferProgress& p) {
-  if (p.beats != wd_last_beats_) {
-    wd_last_beats_ = p.beats;
-    wd_stalled_polls_ = 0;
-    return true;
-  }
-  if (++wd_stalled_polls_ < cfg_.watchdog_stall_polls) return true;
+  if (stall_.poll(p.beats)) return true;
   log_warn("slot_scheduler: watchdog hang, beats frozen at ", p.beats, " of ",
-           wd_expected_beats_);
+           stall_.expected_beats());
   return false;
 }
 

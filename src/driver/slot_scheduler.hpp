@@ -35,12 +35,12 @@
 // an engine the scheduler behaves exactly as before.
 #pragma once
 
-#include <array>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "accel/rm_slot.hpp"
+#include "common/ring.hpp"
 #include "driver/reconfig_service.hpp"
 
 namespace rvcap::driver {
@@ -70,23 +70,21 @@ class SlotScheduler : public ProgressMonitor {
     u32 region = kNoRegion;
   };
 
+  /// A task is abandoned (kFailed) after this many rollbacks.
+  static constexpr u32 kMaxRollbacks = 3;
+  /// DDR bytes per capture area: one partition's readback image.
+  static constexpr u32 kCaptureAreaBytes = 1 << 20;
+
   struct Config {
     usize queue_capacity = 8;
     u32 default_chunk_bytes = 4096;
-    DmaMode mode = DmaMode::kInterrupt;
     /// Anti-priority-inversion aging: a waiting task gains +1 effective
     /// priority per quantum of CLINT time since its last progress.
     u64 aging_quantum_mtime = 20'000;
-    /// A task is abandoned (kFailed) after this many rollbacks.
-    u32 max_rollbacks = 3;
     // ---- capture arena (DDR) ----
     Addr capture_arena = 0;         // base of the capture areas
-    u32 capture_area_bytes = 1 << 20;
     u32 capture_areas = 8;
     Addr restore_staging = 0;       // rebuilt-restore-bitstream staging
-    // ---- watchdog (swap-transfer fence) ----
-    u64 watchdog_interval_ticks = 50;
-    u32 watchdog_stall_polls = 4;
   };
 
   /// A streaming hardware task: activate `module`, then push
@@ -246,15 +244,15 @@ class SlotScheduler : public ProgressMonitor {
   const std::vector<TaskRecord>& tasks() const { return tasks_; }
 
   /// Journal entries, oldest first (at most kJournalCapacity retained).
-  std::vector<SwapEvent> journal() const;
-  u64 journal_events() const { return journal_events_; }
+  std::vector<SwapEvent> journal() const { return journal_.snapshot(); }
+  u64 journal_events() const { return journal_.events(); }
   const Stats& stats() const { return stats_; }
 
   // ---- ProgressMonitor (installed around swap transfers) ----
   u64 poll_interval_cycles() const override {
-    return cfg_.watchdog_interval_ticks * kCyclesPerClintTick;
+    return StallTracker::kPollIntervalCycles;
   }
-  void on_start(u64 expected_beats) override;
+  void on_start(u64 expected_beats) override { stall_.start(expected_beats); }
   bool on_poll(const TransferProgress& p) override;
 
  private:
@@ -305,14 +303,9 @@ class SlotScheduler : public ProgressMonitor {
   std::vector<TaskId> resident_;      // 0 = vacant
   std::vector<bool> area_used_;
   std::vector<TaskRecord> tasks_;     // append-only; id = index + 1
-  std::array<SwapEvent, kJournalCapacity> journal_{};
-  u64 journal_events_ = 0;
+  BoundedRing<SwapEvent, kJournalCapacity> journal_;
   Stats stats_;
-
-  // Watchdog state for the in-flight swap transfer.
-  u64 wd_expected_beats_ = 0;
-  u32 wd_last_beats_ = 0;
-  u32 wd_stalled_polls_ = 0;
+  StallTracker stall_;  // watchdog state for the in-flight swap transfer
 
   // Observability.
   obs::TraceSink* sink_ = nullptr;

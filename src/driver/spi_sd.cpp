@@ -80,12 +80,10 @@ Status SpiSdDriver::read_block(u32 lba, std::span<u8> buf) {
   // SD transfers fail transiently (marginal wiring, clocking, card
   // state): a missing start token or a bad CRC is worth re-issuing the
   // command before giving up. The shared RetrySchedule bounds the
-  // attempts; the default policy has no backoff, preserving the
-  // classic tight re-issue loop.
-  RetrySchedule sched(retry_policy_, lba);
+  // attempts; kReadRetry has no backoff, so a retry follows at once.
+  RetrySchedule sched(kReadRetry);
   Status st = Status::kIoError;
   while (sched.next()) {
-    if (sched.delay() > 0) cpu_.simulator().run_cycles(sched.delay());
     st = read_block_once(lba, buf);
     if (ok(st)) {
       if (sched.attempt() > 1) ++reads_recovered_;

@@ -84,9 +84,9 @@ Stack::Stack(soc::ArianeSoc& soc, const Parts& parts, sim::FaultInjector* fi,
     PlacementEngine::Config c = *parts.placement;
     c.reloc_arena = layout_.base(DdrLayout::kRelocArena);
     layout_.require_fits(DdrLayout::kRelocArena,
-                         u64{c.reloc_slots} * c.reloc_slot_bytes,
+                         u64{PlacementEngine::kRelocSlots} *
+                             PlacementEngine::kRelocSlotBytes,
                          "PlacementEngine relocation arena");
-    home_pitch_ = c.reloc_slot_bytes;
     placement_ = std::make_unique<PlacementEngine>(drv_, soc.allocator(), c);
   }
   if (parts.scheduler) {
@@ -94,7 +94,8 @@ Stack::Stack(soc::ArianeSoc& soc, const Parts& parts, sim::FaultInjector* fi,
     c.capture_arena = layout_.base(DdrLayout::kCaptureArena);
     c.restore_staging = layout_.base(DdrLayout::kRestoreStaging);
     layout_.require_fits(DdrLayout::kCaptureArena,
-                         u64{c.capture_areas} * c.capture_area_bytes,
+                         u64{c.capture_areas} *
+                             SlotScheduler::kCaptureAreaBytes,
                          "SlotScheduler capture areas");
     scheduler_ = std::make_unique<SlotScheduler>(drv_, c);
     scheduler_->set_fault_injector(fi);
@@ -150,7 +151,10 @@ Status Stack::stage_home(std::string name, u32 rm_id) {
   const auto pbit = bitstream::generate_partial_bitstream(
       soc_.device(), partition(0), {rm_id, name});
   Addr addr = 0;
-  if (auto st = claim_golden(home_pitch_, pbit.size(), &addr); !ok(st)) {
+  // One relocation-arena slot of pitch per home image.
+  if (auto st = claim_golden(PlacementEngine::kRelocSlotBytes, pbit.size(),
+                             &addr);
+      !ok(st)) {
     return st;
   }
   soc_.ddr().poke(addr, pbit);

@@ -107,7 +107,6 @@ class Stack {
   std::optional<fabric::Partition> rp_;  // replaces RP0 when set
   usize rp_handle_ = 0;
   Addr golden_next_;
-  u64 home_pitch_ = 0;  // stage_home pitch: one relocation-arena slot
 
   RvCapDriver drv_;
   std::unique_ptr<HwIcapDriver> hwicap_;

@@ -15,7 +15,6 @@ SeuProcess::SeuProcess(std::string name, ConfigMemory& cfg,
     }
   }
   if (cfg_.mean_cycles == 0) cfg_.mean_cycles = 1;
-  if (cfg_.burst == 0) cfg_.burst = 1;
   addrs_.reserve(cfg_.targets.size());
   for (const usize h : cfg_.targets) {
     addrs_.push_back(mem_.partition(h).frame_addrs(mem_.device()));
@@ -34,7 +33,6 @@ u64 SeuProcess::next_gap() {
 void SeuProcess::fire() {
   Event ev;
   ev.at = sim_now();
-  ev.burst = cfg_.burst;
   // Draw the full target tuple unconditionally so the stream position
   // (and therefore every later event) is independent of gating.
   const usize ti = static_cast<usize>(
@@ -43,15 +41,9 @@ void SeuProcess::fire() {
   ev.fa = addrs[fi_.value(sites::kSeuUpset, addrs.size())];
   ev.word = static_cast<u32>(fi_.value(sites::kSeuUpset, kFrameWords));
   ev.bit = static_cast<u32>(fi_.value(sites::kSeuUpset, 32));
-  const bool enabled = fi_.should_fire(sites::kSeuUpset);
-  if (enabled &&
-      (!cfg_.only_loaded ||
-       mem_.partition_state(cfg_.targets[ti]).loaded)) {
-    for (u32 i = 0; i < cfg_.burst; ++i) {
-      const u32 pos = ev.word * 32 + ev.bit + i;
-      if (pos >= kFrameWords * 32) break;
-      ev.landed |= mem_.inject_upset(ev.fa, pos / 32, pos % 32);
-    }
+  if (fi_.should_fire(sites::kSeuUpset) &&
+      mem_.partition_state(cfg_.targets[ti]).loaded) {
+    ev.landed = mem_.inject_upset(ev.fa, ev.word, ev.bit);
   }
   if (ev.landed) ++landed_;
   log_.push_back(ev);

@@ -15,9 +15,9 @@
 //                arm the site to enable the process, cap the event
 //                count with a plan, or disarm mid-run;
 //  * targeting — partition (region mask), frame, word and bit come
-//                from the site's parameter stream;
-//  * burst     — an event flips `burst` adjacent bits (MBU), wrapping
-//                across word boundaries within the frame.
+//                from the site's parameter stream; an event flips that
+//                one bit (single-bit upsets, the SECDED-correctable
+//                case the scrub service repairs in place).
 //
 // Events aimed at an unloaded partition are suppressed (no configured
 // bits to hit) but still logged and still consume the same stream
@@ -36,9 +36,7 @@ class SeuProcess : public sim::Component {
  public:
   struct Config {
     u64 mean_cycles = 200'000;   // mean exponential inter-arrival
-    u32 burst = 1;               // adjacent bits per event (>1 = MBU)
     std::vector<usize> targets;  // partition handles (region mask)
-    bool only_loaded = true;     // suppress events on unloaded targets
   };
 
   /// One scheduled upset event (landed or suppressed).
@@ -47,7 +45,6 @@ class SeuProcess : public sim::Component {
     FrameAddr fa{};
     u32 word = 0;
     u32 bit = 0;
-    u32 burst = 1;
     bool landed = false;
   };
 
@@ -59,7 +56,6 @@ class SeuProcess : public sim::Component {
   /// quiesces with upsets still pending on the wheel.
   bool busy() const override { return false; }
 
-  const Config& config() const { return cfg_; }
   const std::vector<Event>& log() const { return log_; }
   u64 events() const { return log_.size(); }
   u64 landed() const { return landed_; }

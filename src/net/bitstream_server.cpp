@@ -12,7 +12,6 @@ namespace sites = sim::fault_sites;
 
 BitstreamServer::BitstreamServer(std::string name, NetLink& link, Config cfg)
     : Component(std::move(name)), cfg_(cfg), link_(link) {
-  if (cfg_.chunk_bytes == 0) cfg_.chunk_bytes = 1024;
   link_.b_rx().watch(this);
   link_.b_tx().watch(this);
 }
@@ -37,7 +36,7 @@ NetFrame BitstreamServer::build_response(const NetFrame& req) const {
   }
   const std::vector<u8>& img = it->second;
   const u32 total =
-      static_cast<u32>((img.size() + cfg_.chunk_bytes - 1) / cfg_.chunk_bytes);
+      static_cast<u32>((img.size() + kChunkBytes - 1) / kChunkBytes);
   if (req.chunk >= total) {
     r.op = NetFrame::Op::kError;
     r.status = static_cast<u32>(Status::kOutOfRange);
@@ -46,8 +45,8 @@ NetFrame BitstreamServer::build_response(const NetFrame& req) const {
   r.op = NetFrame::Op::kData;
   r.total_chunks = total;
   r.image_bytes = static_cast<u32>(img.size());
-  const usize off = usize{req.chunk} * cfg_.chunk_bytes;
-  const usize len = std::min<usize>(cfg_.chunk_bytes, img.size() - off);
+  const usize off = usize{req.chunk} * kChunkBytes;
+  const usize len = std::min<usize>(kChunkBytes, img.size() - off);
   r.payload.assign(img.begin() + static_cast<long>(off),
                    img.begin() + static_cast<long>(off + len));
   r.crc = crc32(std::span<const u8>(r.payload));

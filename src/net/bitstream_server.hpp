@@ -24,7 +24,6 @@ namespace rvcap::net {
 class BitstreamServer : public sim::Component {
  public:
   struct Config {
-    u32 chunk_bytes = 1024;     // protocol chunk size
     Cycles service_cycles = 200;  // per-request lookup/chunk cost
   };
 
@@ -37,7 +36,6 @@ class BitstreamServer : public sim::Component {
   bool has_image(std::string_view name) const {
     return images_.find(std::string(name)) != images_.end();
   }
-  u32 chunk_bytes() const { return cfg_.chunk_bytes; }
 
   void attach_fault_injector(sim::FaultInjector* fi) { fi_ = fi; }
 

@@ -12,7 +12,6 @@ using Op = NetFrame::Op;
 
 NetFetcher::NetFetcher(cpu::CpuContext& cpu, NetLink& link, Config cfg)
     : cpu_(cpu), link_(link), cfg_(cfg) {
-  if (cfg_.chunk_bytes == 0) cfg_.chunk_bytes = 1024;
   obs::Observability& o = cpu_.simulator().obs();
   sink_ = &o.sink();
   src_ = sink_->intern("net_fetcher");
@@ -97,7 +96,7 @@ Status NetFetcher::wait_response(std::string_view image, u32 chunk,
 
 Status NetFetcher::fetch_chunk(std::string_view image, u32 chunk, Addr dest,
                                u32 capacity, Partial* p) {
-  RetrySchedule sched(cfg_.retry, cfg_.retry_seed ^ retry_streams_++);
+  RetrySchedule sched(cfg_.retry, kRetrySeed ^ retry_streams_++);
   const Cycles c0 = cpu_.now();
   Status last = Status::kTimeout;
   while (sched.next()) {
@@ -151,7 +150,7 @@ Status NetFetcher::fetch_chunk(std::string_view image, u32 chunk, Addr dest,
       p->image_bytes = resp.image_bytes;
       if (resp.image_bytes > capacity) return Status::kNoSpace;
     }
-    cpu_.write_buffer(dest + u64{chunk} * cfg_.chunk_bytes,
+    cpu_.write_buffer(dest + u64{chunk} * kChunkBytes,
                       std::span<const u8>(resp.payload));
     p->next_chunk = chunk + 1;
     chunk_hist_->record(cpu_.now() - c0);

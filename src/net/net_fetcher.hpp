@@ -34,7 +34,6 @@ namespace rvcap::net {
 class NetFetcher {
  public:
   struct Config {
-    u32 chunk_bytes = 1024;          // must match the server's
     Cycles response_timeout = 50'000;  // per-attempt wait for a frame
     RetryPolicy retry{
         /*max_attempts=*/5,
@@ -42,10 +41,12 @@ class NetFetcher {
         /*backoff_cap=*/32'000,
         /*jitter_permille=*/250,
     };
-    u64 retry_seed = 0x5eed;     // jitter stream seed
     u32 breaker_threshold = 3;   // consecutive failures to open
     Cycles breaker_cooldown = 500'000;  // open -> half-open delay
   };
+
+  /// Base seed of the per-chunk-loop retry jitter streams.
+  static constexpr u64 kRetrySeed = 0x5eed;
 
   NetFetcher(cpu::CpuContext& cpu, NetLink& link, Config cfg);
 

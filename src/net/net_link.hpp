@@ -31,6 +31,10 @@ class Counter;
 
 namespace rvcap::net {
 
+/// Protocol chunk size: every kData payload but an image's last is
+/// exactly this long, so client and server share the one constant.
+inline constexpr u32 kChunkBytes = 1024;
+
 /// One protocol datagram. TFTP-style stop-and-wait vocabulary: the
 /// client sends kRrq naming an image and a chunk index; the server
 /// answers with kData (payload + CRC32 + image geometry) or kError

@@ -53,8 +53,7 @@ ArianeSoc::ArianeSoc(const SocConfig& cfg)
   main_xbar_.add_subordinate(MemoryMap::kBootMem, &boot_.port());
 
   // ---- extra reconfigurable-partition slots (multi-slot serving) ----
-  const u32 num_slots =
-      cfg_.with_rvcap ? std::max<u32>(cfg_.num_slots, 1) : 1;
+  const u32 num_slots = std::max<u32>(cfg_.num_slots, 1);
   if (num_slots > 1) {
     extra_rps_.reserve(num_slots - 1);
     // Every further slot replicates RP0's column footprint into a
@@ -80,18 +79,16 @@ ArianeSoc::ArianeSoc(const SocConfig& cfg)
           cfg_mem_.register_partition(extra_rps_.back()));
     }
   }
-  if (cfg_.with_rvcap) {
-    // Geometry-check the slot floorplan: an overlapping or
-    // out-of-geometry slot would alias configuration frames, so the
-    // Floorplan constructor turns it into a hard error.
-    std::vector<fabric::FloorplanRegion> regions;
-    regions.push_back({"RP0", &rp0_, '0'});
-    for (usize i = 0; i < extra_rps_.size(); ++i) {
-      regions.push_back({"RP" + std::to_string(i + 1), &extra_rps_[i],
-                         "0123456789ABCDEF"[i + 1]});
-    }
-    fabric::Floorplan validated(dev_, std::move(regions));
+  // Geometry-check the slot floorplan: an overlapping or
+  // out-of-geometry slot would alias configuration frames, so the
+  // Floorplan constructor turns it into a hard error.
+  std::vector<fabric::FloorplanRegion> regions;
+  regions.push_back({"RP0", &rp0_, '0'});
+  for (usize i = 0; i < extra_rps_.size(); ++i) {
+    regions.push_back({"RP" + std::to_string(i + 1), &extra_rps_[i],
+                       "0123456789ABCDEF"[i + 1]});
   }
+  (void)fabric::Floorplan(dev_, std::move(regions));
   // One allocator region per slot (region id == slot id): the
   // relocation-aware placement layer's free/busy view of the fabric.
   allocator_ = std::make_unique<fabric::FabricAllocator>(dev_);
@@ -99,24 +96,14 @@ ArianeSoc::ArianeSoc(const SocConfig& cfg)
   for (const auto& p : extra_rps_) allocator_->add_region(p);
 
   // ---- DPR controllers ----
-  if (cfg_.with_rvcap) {
-    rvcap_ = std::make_unique<rvcap_ctrl::RvCapController>(
-        icap_, ddr_.port(), MemoryMap::kDdr, cfg_.dma, num_slots);
-    main_xbar_.add_subordinate(MemoryMap::kDmaCtrl,
-                               &rvcap_->dma_ctrl_port());
-    main_xbar_.add_subordinate(MemoryMap::kRpCtrl, &rvcap_->rp_ctrl_port());
-    // CPU reaches DDR through the controller's additional crossbar.
-    main_xbar_.add_subordinate(MemoryMap::kDdr,
-                               &rvcap_->main_bus_ddr_port());
-    rvcap_->dma().set_mm2s_irq(irq::IrqLine(&plic_, IrqMap::kDmaMm2s));
-    rvcap_->dma().set_s2mm_irq(irq::IrqLine(&plic_, IrqMap::kDmaS2mm));
-  } else {
-    // Vendor-only deployment: the main crossbar drives DDR directly.
-    ddr_direct_port_ = std::make_unique<axi::AxiPort>();
-    ddr_direct_wire_ = std::make_unique<axi::AxiWire>(
-        "ddr.direct", *ddr_direct_port_, ddr_.port());
-    main_xbar_.add_subordinate(MemoryMap::kDdr, ddr_direct_port_.get());
-  }
+  rvcap_ = std::make_unique<rvcap_ctrl::RvCapController>(
+      icap_, ddr_.port(), MemoryMap::kDdr, cfg_.dma, num_slots);
+  main_xbar_.add_subordinate(MemoryMap::kDmaCtrl, &rvcap_->dma_ctrl_port());
+  main_xbar_.add_subordinate(MemoryMap::kRpCtrl, &rvcap_->rp_ctrl_port());
+  // CPU reaches DDR through the controller's additional crossbar.
+  main_xbar_.add_subordinate(MemoryMap::kDdr, &rvcap_->main_bus_ddr_port());
+  rvcap_->dma().set_mm2s_irq(irq::IrqLine(&plic_, IrqMap::kDmaMm2s));
+  rvcap_->dma().set_s2mm_irq(irq::IrqLine(&plic_, IrqMap::kDmaS2mm));
 
   if (cfg_.with_hwicap) {
     hwicap_ =
@@ -142,28 +129,26 @@ ArianeSoc::ArianeSoc(const SocConfig& cfg)
   }
 
   // ---- RM slot behind the isolator (needs the RV-CAP streams) ----
-  if (cfg_.with_rvcap) {
-    rm_slot_ = std::make_unique<accel::RmSlot>(
-        "rm_slot", cfg_mem_, rp0_handle_, rvcap_->rm_input());
-    accel::register_case_study_filters(*rm_slot_);
-    accel::register_cipher(*rm_slot_);
-    accel::register_fir(*rm_slot_);
-    rm_out_wire_ = std::make_unique<axi::AxisWire>(
-        "rm_slot.out", rm_slot_->out(), rvcap_->rm_output_in());
-    rvcap_->rp_control().attach_rm(rm_slot_.get(), 0);
-    for (u32 s = 1; s < num_slots; ++s) {
-      auto rs = std::make_unique<accel::RmSlot>(
-          "rm_slot" + std::to_string(s), cfg_mem_, extra_rp_handles_[s - 1],
-          rvcap_->rm_input(s));
-      accel::register_case_study_filters(*rs);
-      accel::register_cipher(*rs);
-      accel::register_fir(*rs);
-      extra_rm_wires_.push_back(std::make_unique<axi::AxisWire>(
-          "rm_slot" + std::to_string(s) + ".out", rs->out(),
-          rvcap_->rm_output_in(s)));
-      rvcap_->rp_control().attach_rm(s, rs.get(), 0);
-      extra_rm_slots_.push_back(std::move(rs));
-    }
+  rm_slot_ = std::make_unique<accel::RmSlot>(
+      "rm_slot", cfg_mem_, rp0_handle_, rvcap_->rm_input());
+  accel::register_case_study_filters(*rm_slot_);
+  accel::register_cipher(*rm_slot_);
+  accel::register_fir(*rm_slot_);
+  rm_out_wire_ = std::make_unique<axi::AxisWire>(
+      "rm_slot.out", rm_slot_->out(), rvcap_->rm_output_in());
+  rvcap_->rp_control().attach_rm(rm_slot_.get(), 0);
+  for (u32 s = 1; s < num_slots; ++s) {
+    auto rs = std::make_unique<accel::RmSlot>(
+        "rm_slot" + std::to_string(s), cfg_mem_, extra_rp_handles_[s - 1],
+        rvcap_->rm_input(s));
+    accel::register_case_study_filters(*rs);
+    accel::register_cipher(*rs);
+    accel::register_fir(*rs);
+    extra_rm_wires_.push_back(std::make_unique<axi::AxisWire>(
+        "rm_slot" + std::to_string(s) + ".out", rs->out(),
+        rvcap_->rm_output_in(s)));
+    rvcap_->rp_control().attach_rm(s, rs.get(), 0);
+    extra_rm_slots_.push_back(std::move(rs));
   }
 
   // ---- simulator registration (dataflow order) ----
@@ -179,7 +164,7 @@ ArianeSoc::ArianeSoc(const SocConfig& cfg)
   sim_.add(&perf_regs_);
   sim_.add(&spi_);
   sim_.add(&boot_);
-  if (rvcap_) rvcap_->register_components(sim_);
+  rvcap_->register_components(sim_);
   if (hwicap_) {
     sim_.add(hwicap_conv_.get());
     sim_.add(hwicap_w0_.get());
@@ -187,15 +172,12 @@ ArianeSoc::ArianeSoc(const SocConfig& cfg)
     sim_.add(hwicap_w1_.get());
     sim_.add(hwicap_.get());
   }
-  if (ddr_direct_wire_) sim_.add(ddr_direct_wire_.get());
   sim_.add(&ddr_);
-  if (rm_slot_) {
-    sim_.add(rm_slot_.get());
-    sim_.add(rm_out_wire_.get());
-    for (usize i = 0; i < extra_rm_slots_.size(); ++i) {
-      sim_.add(extra_rm_slots_[i].get());
-      sim_.add(extra_rm_wires_[i].get());
-    }
+  sim_.add(rm_slot_.get());
+  sim_.add(rm_out_wire_.get());
+  for (usize i = 0; i < extra_rm_slots_.size(); ++i) {
+    sim_.add(extra_rm_slots_[i].get());
+    sim_.add(extra_rm_wires_[i].get());
   }
   sim_.add(&icap_);
   // Net plant last: existing deployments keep their registration order

@@ -53,12 +53,11 @@ struct SocConfig {
   /// Simulation kernel: activity-scheduled by default; kFlat retains
   /// the legacy tick-everything loop (dual-mode equivalence testing).
   sim::Simulator::Mode sim_mode = sim::Simulator::Mode::kScheduled;
-  bool with_rvcap = true;    // instantiate the RV-CAP controller
   bool with_hwicap = false;  // instantiate the AXI_HWICAP baseline
   bool with_net = false;     // instantiate link + bitstream server
-  /// Reconfigurable-partition slots (RV-CAP deployments; 1..16). Slot 0
-  /// is the legacy case-study RP; further slots are planned around it
-  /// and geometry-checked (overlap is a hard construction error).
+  /// Reconfigurable-partition slots (1..16). Slot 0 is the legacy
+  /// case-study RP; further slots are planned around it and
+  /// geometry-checked (overlap is a hard construction error).
   u32 num_slots = 1;
   net::NetLink::Config net_link{};
   net::BitstreamServer::Config net_server{};
@@ -120,7 +119,6 @@ class ArianeSoc {
 
   rvcap_ctrl::RvCapController& rvcap() { return *rvcap_; }
   hwicap::HwIcap& hwicap() { return *hwicap_; }
-  bool has_rvcap() const { return rvcap_ != nullptr; }
   bool has_hwicap() const { return hwicap_ != nullptr; }
 
   /// Networked bitstream delivery plant (with_net deployments).
@@ -140,7 +138,7 @@ class ArianeSoc {
   void attach_fault_injector(sim::FaultInjector* fi) {
     sd_.set_fault_injector(fi);
     icap_.set_fault_injector(fi);
-    if (rvcap_) rvcap_->dma().set_fault_injector(fi);
+    rvcap_->dma().set_fault_injector(fi);
     if (net_link_) net_link_->attach_fault_injector(fi);
     if (net_server_) net_server_->attach_fault_injector(fi);
   }
@@ -186,7 +184,7 @@ class ArianeSoc {
   std::unique_ptr<axi::AxiWire> hwicap_w0_;
   std::unique_ptr<axi::LiteWire> hwicap_w1_;
 
-  // RM slot + stream plumbing (RV-CAP deployments only).
+  // RM slot + stream plumbing.
   std::unique_ptr<accel::RmSlot> rm_slot_;
   std::unique_ptr<axi::AxisWire> rm_out_wire_;
 
@@ -196,10 +194,6 @@ class ArianeSoc {
   std::vector<usize> extra_rp_handles_;
   std::vector<std::unique_ptr<accel::RmSlot>> extra_rm_slots_;
   std::vector<std::unique_ptr<axi::AxisWire>> extra_rm_wires_;
-
-  // Direct DDR binding used when RV-CAP (and its crossbar) is absent.
-  std::unique_ptr<axi::AxiWire> ddr_direct_wire_;
-  std::unique_ptr<axi::AxiPort> ddr_direct_port_;
 
   // Networked bitstream delivery plant (with_net deployments).
   std::unique_ptr<net::NetLink> net_link_;

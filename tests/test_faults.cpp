@@ -341,7 +341,7 @@ TEST_F(FaultRecoveryFixture, CorruptPinnedImageNeverCouples) {
   EXPECT_EQ(mgr.activate("sobel"), Status::kCrcError);
   EXPECT_TRUE(decoupled());
   EXPECT_FALSE(soc.config_memory().partition_state(soc.rp0_handle()).loaded);
-  EXPECT_EQ(mgr.stats().staged_crc_failures, mgr.policy().max_attempts);
+  EXPECT_EQ(mgr.stats().staged_crc_failures, DprManager::kMaxAttempts);
   EXPECT_EQ(mgr.stats().reconfigurations, 0u);
 }
 

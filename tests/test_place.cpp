@@ -571,7 +571,8 @@ TEST(PlaceDelivery, OneFetchServesEverySlotAndTheVariantCacheIsShared) {
   // Its arena: the relocation-arena slots just past the first engine's.
   PlacementEngine::Config ec2;
   ec2.reloc_arena = driver::DdrLayout::base(driver::DdrLayout::kRelocArena) +
-                    u64{ec2.reloc_slots} * ec2.reloc_slot_bytes;
+                    u64{PlacementEngine::kRelocSlots} *
+                        PlacementEngine::kRelocSlotBytes;
   PlacementEngine engine2(w.drv, w.soc.allocator(), ec2);
   engine2.attach_delivery(&net, &variants);
   ASSERT_EQ(engine2.register_remote("fir", accel::kRmIdFir, 0, "fir.pbit"),

@@ -742,6 +742,7 @@ TEST(RecoveryIntegration, FailureJournalMirrorsIntoPersistentJournal) {
 
 // Recovery trace track carries the whole story.
 TEST(RecoveryIntegration, RecoveryTrackTracesEmitted) {
+  if (!obs::trace_compiled_in()) GTEST_SKIP() << "built with RVCAP_NO_TRACE";
   RecoveryRig rig;
   {
     Boot b(rig.card, nullptr, sim::Simulator::Mode::kScheduled);

@@ -278,10 +278,7 @@ TEST_F(ServiceFixture, GarbageImageRejected) {
 // ---------------------------------------------------------------------
 
 TEST_F(ServiceFixture, WatchdogDetectsWedgedDmaAndQueueSurvives) {
-  ReconfigService::Config cfg;
-  cfg.watchdog_interval_ticks = 50;
-  cfg.watchdog_stall_polls = 4;
-  ReconfigService svc(mgr, cfg);
+  ReconfigService svc(mgr);
   // Hung attempt + recovery (blank + retry) + a second full
   // reconfiguration emit ~1.3M events; retain them all so the early
   // hang record survives for the trace assertions below.
@@ -304,7 +301,7 @@ TEST_F(ServiceFixture, WatchdogDetectsWedgedDmaAndQueueSurvives) {
   ASSERT_EQ(svc.hang_log().size(), 1u);
   const auto& d = svc.hang_log().front();
   EXPECT_EQ(d.request, hung);
-  EXPECT_EQ(d.polls_without_progress, cfg.watchdog_stall_polls);
+  EXPECT_EQ(d.polls_without_progress, driver::StallTracker::kStallPolls);
   EXPECT_GT(d.expected_beats, 0u);
   EXPECT_LT(d.snapshot.beats, d.expected_beats);
   EXPECT_EQ(d.outstanding_beats, d.expected_beats - d.snapshot.beats);
@@ -331,7 +328,7 @@ TEST_F(ServiceFixture, WatchdogDetectsWedgedDmaAndQueueSurvives) {
     ASSERT_NE(hang, nullptr);
     EXPECT_EQ(hang->a0, hung);
     EXPECT_EQ(hang->a1, d.outstanding_beats);
-    EXPECT_EQ(hang->a2, cfg.watchdog_stall_polls);
+    EXPECT_EQ(hang->a2, driver::StallTracker::kStallPolls);
     EXPECT_EQ(test::count_events(sink, obs::EventKind::kSvcAdmit), 2u);
     EXPECT_EQ(test::count_events(sink, obs::EventKind::kSvcComplete), 2u);
     test::expect_ordered(sink, obs::EventKind::kSvcAdmit,
@@ -344,10 +341,7 @@ TEST_F(ServiceFixture, WatchdogDetectsWedgedDmaAndQueueSurvives) {
 TEST_F(ServiceFixture, WatchdogFiresWellBeforeIterationTimeout) {
   // The point of progress probes: detection latency is bounded by
   // interval * polls, not by the multi-million-cycle iteration budget.
-  ReconfigService::Config cfg;
-  cfg.watchdog_interval_ticks = 50;
-  cfg.watchdog_stall_polls = 4;
-  ReconfigService svc(mgr, cfg);
+  ReconfigService svc(mgr);
 
   fi.arm(sites::kDmaMm2sStall, /*count=*/1);
   ASSERT_EQ(svc.submit(Req{"sobel", 1}), Status::kOk);
@@ -391,8 +385,6 @@ StressOutcome run_stress(ServiceWorld& w, u64 seed) {
 
   ReconfigService::Config cfg;
   cfg.queue_capacity = 4;
-  cfg.watchdog_interval_ticks = 50;
-  cfg.watchdog_stall_polls = 4;
   ReconfigService svc(w.mgr, cfg);
 
   const char* modules[] = {"sobel", "median", "gauss"};

@@ -445,6 +445,35 @@ TEST(SlotRecovery, StaleFramesRollBackToGoldenReload) {
   EXPECT_TRUE(w.journal_has(Swap::kRollbackStale));
 }
 
+TEST(SlotRecovery, RollbackBudgetExhaustionFailsTheTask) {
+  // Every restore finds stale frames, so each forced preemption costs
+  // the task one rollback. The (kMaxRollbacks + 1)-th abandons it.
+  SlotWorld w;
+  ASSERT_EQ(w.fi.arm(sites::kSlotRestoreStale, /*count=*/0), Status::kOk);
+  SlotScheduler::TaskId a = 0;
+  ASSERT_EQ(w.sched->submit(w.cipher_task(0x0BADC0DEull, 8 * 512, 1,
+                                          kDataBase, kDataBase + 0x10000, 66),
+                            &a),
+            Status::kOk);
+  ASSERT_TRUE(w.sched->step());
+  const u32 slot = w.sched->task(a)->slot;
+  for (u32 i = 0; i <= SlotScheduler::kMaxRollbacks; ++i) {
+    ASSERT_EQ(w.sched->task(a)->state, TaskState::kRunning) << i;
+    ASSERT_EQ(w.sched->preempt_slot(slot), Status::kOk) << i;
+    ASSERT_NE(w.sched->task(a)->capture_area, SlotScheduler::kNoArea) << i;
+    w.sched->step();  // restore -> stale -> rollback (+ reload)
+  }
+
+  const auto* t = w.sched->task(a);
+  EXPECT_EQ(t->state, TaskState::kFailed);
+  EXPECT_EQ(t->status, Status::kCrcError);
+  EXPECT_EQ(t->rollbacks, SlotScheduler::kMaxRollbacks + 1);
+  EXPECT_EQ(w.sched->stats().rollbacks, SlotScheduler::kMaxRollbacks + 1);
+  EXPECT_EQ(t->capture_area, SlotScheduler::kNoArea);  // area released
+  EXPECT_EQ(w.sched->resident(slot), 0u);              // slot vacant
+  EXPECT_FALSE(w.sched->step());  // nothing left to run
+}
+
 TEST(SlotRecovery, PoisonedCaptureIsNeverRestored) {
   SlotWorld w;
   const u64 key = 0x1122334455667788ULL;
