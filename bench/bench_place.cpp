@@ -82,16 +82,9 @@ struct CellResult {
 /// relocation, never by per-slot staging.
 struct World : bench::ServingWorld {
   World(u32 num_slots, u32 queue_capacity, u64 seed, bool traced)
-      : ServingWorld(num_slots, queue_capacity, kChunk, seed, traced,
-                     parts()) {
+      : ServingWorld(num_slots, queue_capacity, kChunk, seed, traced, {}) {
     stack.stage_home("cipher", accel::kRmIdCipher);
     stack.stage_home("fir", accel::kRmIdFir);
-  }
-
-  static driver::Stack::Parts parts() {
-    driver::Stack::Parts p;
-    p.placement = PlacementEngine::Config{};
-    return p;
   }
 
   PlacementEngine* engine = stack.placement();

@@ -50,16 +50,12 @@ double percentile(std::vector<u64>& v, double p) {
 CellResult run_cell(u32 burst_size, u32 bursts, double fault_rate, u64 seed) {
   soc::ArianeSoc soc((soc::SocConfig()));
   sim::FaultInjector fi(seed);
+  // No scrubber: bounded runs skip the slow post-recovery readback.
   driver::Stack::Parts parts;
-  parts.scrubber = driver::Scrubber::Config{};
   parts.service.queue_capacity = 4;
   driver::Stack stack(soc, parts, &fi);
   driver::RvCapDriver& drv = stack.driver();
   driver::DprManager& mgr = stack.manager();
-  // Bounded runs: skip the slow post-recovery readback scrub.
-  driver::DprManager::RecoveryPolicy pol;
-  pol.scrub_after_recovery = false;
-  mgr.set_policy(pol);
 
   // Five pre-staged modules (every registered RM behavior): enough
   // distinct targets that a 12-request burst saturates the 4-deep

@@ -289,8 +289,8 @@ Status DprManager::activate(std::string_view name, DmaMode mode,
     }
 
     const bool use_fallback =
-        policy_.hwicap_fallback && fallback_ != nullptr &&
-        consecutive_dma_failures_ >= policy_.fallback_after_failures;
+        fallback_ != nullptr &&
+        consecutive_dma_failures_ >= kFallbackAfterFailures;
     ReconfigModule rm{m->name, m->rm_id, m->staged_addr, m->pbit_size,
                      m->crc32};
     Status s;
@@ -336,8 +336,8 @@ Status DprManager::activate(std::string_view name, DmaMode mode,
     // through the RV-CAP DMA, so it is skipped on fallback transfers —
     // those run precisely because the DMA path is known-bad, and a
     // readback over it would wedge the recovery it is meant to verify.
-    if (failed_once && !use_fallback && policy_.scrub_after_recovery &&
-        scrubber_ != nullptr && scrub_part_ != nullptr) {
+    if (failed_once && !use_fallback && scrubber_ != nullptr &&
+        scrub_part_ != nullptr) {
       ++stats_.scrub_verifies;
       scrubber_->set_hold_decoupled(true);
       Status ss = scrubber_->snapshot(*scrub_part_);

@@ -63,13 +63,9 @@ class DprManager {
   /// image before the ICAP, and every failed transfer blanks the
   /// partition before the next one.
   static constexpr u32 kMaxAttempts = 3;
-
-  /// Knobs of the self-healing activation flow.
-  struct RecoveryPolicy {
-    bool hwicap_fallback = true;   // degrade to AXI_HWICAP when attached
-    u32 fallback_after_failures = 2;  // consecutive DMA-path failures
-    bool scrub_after_recovery = true; // readback-verify before recouple
-  };
+  /// Consecutive DMA-path failures after which a try degrades to the
+  /// attached AXI_HWICAP fallback (none attached: never).
+  static constexpr u32 kFallbackAfterFailures = 2;
 
   /// One failure-journal record; the journal is a fixed ring of the
   /// most recent kJournalCapacity events.
@@ -131,7 +127,9 @@ class DprManager {
   Status prefetch(std::string_view name);
 
   /// Make the module active in the partition; no-op when it already is.
-  /// Runs the self-healing flow under the current RecoveryPolicy.
+  /// Runs the self-healing flow: up to kMaxAttempts tries, the HWICAP
+  /// fallback when one is attached, and a readback verify after a
+  /// recovered failure when a scrubber is attached.
   /// `force` skips the already-active fast path and rewrites every
   /// frame regardless — the scrub service's escalation path, where the
   /// partition still tracks as loaded but its configuration bits are
@@ -167,14 +165,13 @@ class DprManager {
   }
   const fabric::DeviceGeometry& device() const { return cfg_.device(); }
 
-  void set_policy(const RecoveryPolicy& p) { policy_ = p; }
-  const RecoveryPolicy& policy() const { return policy_; }
-
-  /// Degraded-mode transfer path used after repeated DMA failures.
+  /// Degraded-mode transfer path used after kFallbackAfterFailures
+  /// consecutive DMA failures; nullptr detaches it.
   void attach_fallback(HwIcapDriver* hwicap) { fallback_ = hwicap; }
 
   /// Post-recovery verification service. `part` must outlive the
-  /// manager; it is the partition behind `rp_handle`.
+  /// manager; it is the partition behind `rp_handle`. nullptr detaches
+  /// it (no readback verify before recouple).
   void attach_scrubber(Scrubber* scrubber, const fabric::Partition* part) {
     scrubber_ = scrubber;
     scrub_part_ = part;
@@ -245,7 +242,6 @@ class DprManager {
   usize rp_handle_;
   storage::Fat32Volume* volume_;
   Config config_;
-  RecoveryPolicy policy_;
   HwIcapDriver* fallback_ = nullptr;
   Scrubber* scrubber_ = nullptr;
   const fabric::Partition* scrub_part_ = nullptr;

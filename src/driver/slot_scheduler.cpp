@@ -35,7 +35,6 @@ u32 SlotScheduler::add_slot(const SlotBinding& b) {
   assert(cfg_.capture_arena != 0 && cfg_.restore_staging != 0 &&
          "capture arena and restore staging must be configured");
   slots_.push_back(b);
-  if (slots_.back().region == kNoRegion) slots_.back().region = b.slot_id;
   resident_.push_back(0);
   return b.slot_id;
 }
@@ -77,6 +76,7 @@ u64 SlotScheduler::eff_priority(const TaskRecord& t, u64 now) const {
 }
 
 void SlotScheduler::finish(TaskRecord& t, TaskState state, Status status) {
+  if (state == TaskState::kFailed) ++stats_.failed;
   t.state = state;
   t.status = status;
   t.done_mtime = drv_.mtime();
@@ -112,13 +112,14 @@ void SlotScheduler::settle() {
 }
 
 Status SlotScheduler::submit(const HwTask& task, TaskId* id) {
+  assert(engine_ != nullptr && "attach_placement() before submit()");
   ++stats_.submitted;
   const u64 now = drv_.mtime();
 
   // The module must be registered with at least one slot's manager, or
-  // with the placement engine's catalogue (engine mode: a single
-  // registration serves every compatible region).
-  bool known = engine_ != nullptr && engine_->has_module(task.module);
+  // with the placement engine's catalogue (a single registration
+  // serves every compatible region).
+  bool known = engine_->has_module(task.module);
   for (const SlotBinding& b : slots_) {
     if (b.manager->has_module(task.module)) known = true;
   }
@@ -419,8 +420,9 @@ void SlotScheduler::restore(TaskRecord& t) {
     return;
   }
 
-  // Rebuild a loadable partial bitstream from the captured frames and
-  // reconfigure the SAME slot (frame addresses are absolute).
+  // Rebuild a loadable partial bitstream from the captured frames
+  // against the task's slot (its capture slot, or the compatible slot
+  // it migrates to: same footprint, same frame layout).
   intent(IntentOp::kSlotRestore, s, t.task.rm_id, t.id);
   cpu::CpuContext& cpu = drv_.cpu_context();
   std::vector<u8> image_bytes(usize{t.capture_words} * 4);
@@ -481,33 +483,22 @@ void SlotScheduler::restore(TaskRecord& t) {
 
 bool SlotScheduler::slot_eligible(u32 slot, const TaskRecord& t) {
   if (region_reserved(slot)) return false;  // held for a granted span
-  if (slots_[slot].manager->has_module(t.task.module)) return true;
-  return engine_ != nullptr &&
-         engine_->can_place(t.task.module, slots_[slot].region);
+  return slots_[slot].manager->has_module(t.task.module) ||
+         engine_->can_place(t.task.module, slot);
 }
 
 bool SlotScheduler::region_reserved(u32 slot) const {
-  return engine_ != nullptr &&
-         engine_->allocator().state(slots_[slot].region) ==
-             fabric::RegionState::kReserved;
-}
-
-u32 SlotScheduler::slot_of_region(u32 region) const {
-  for (const SlotBinding& b : slots_) {
-    if (b.region == region) return b.slot_id;
-  }
-  return kNoSlot;
+  return engine_->allocator().state(slot) == fabric::RegionState::kReserved;
 }
 
 Status SlotScheduler::prepare_slot(TaskRecord& t, u32 slot) {
   SlotBinding& b = slots_[slot];
   if (b.manager->has_module(t.task.module)) return Status::kOk;
-  if (engine_ == nullptr) return Status::kNotFound;
   // First landing of this module in this region: materialize the
   // relocated (preflighted, CRC-sealed) variant and register it as the
   // slot's golden image — the rollback path reloads from it too.
   DprManager::StagedInfo info;
-  const Status st = engine_->materialize(t.task.module, b.region, &info);
+  const Status st = engine_->materialize(t.task.module, slot, &info);
   if (!ok(st)) return st;
   return b.manager->register_staged(t.task.module, info.rm_id, info.addr,
                                     info.bytes);
@@ -520,15 +511,13 @@ bool SlotScheduler::ensure_resident(TaskRecord& t, u64 now) {
   }
 
   if (t.state == TaskState::kPreempted) {
-    // Legacy mode: a preempted task can only resume in its capture
-    // slot. Engine mode: the capture image is rebuilt against whatever
-    // compatible partition receives it (same footprint, same frame
-    // layout), so when the capture slot is occupied or span-reserved
-    // the task may migrate to any free compatible slot that no
-    // equal-or-higher-priority parked task owns.
+    // The capture image is rebuilt against whatever compatible
+    // partition receives it (same footprint, same frame layout), so
+    // when the capture slot is occupied or span-reserved the task may
+    // migrate to any free eligible slot that no equal-or-higher-priority
+    // parked task owns.
     u32 dest = t.slot;
-    if (engine_ != nullptr &&
-        (find(resident_[dest]) != nullptr || region_reserved(dest))) {
+    if (find(resident_[dest]) != nullptr || region_reserved(dest)) {
       for (u32 s = 0; s < slots_.size(); ++s) {
         if (s == dest || find(resident_[s]) != nullptr) continue;
         if (!slot_eligible(s, t)) continue;
@@ -687,28 +676,25 @@ usize SlotScheduler::drain() {
 }
 
 void SlotScheduler::sync_allocator() {
-  if (engine_ == nullptr) return;
   fabric::FabricAllocator& alloc = engine_->allocator();
-  for (const SlotBinding& b : slots_) {
-    if (alloc.state(b.region) == fabric::RegionState::kReserved) continue;
-    const TaskId id = resident_[b.slot_id];
+  for (u32 r = 0; r < slots_.size(); ++r) {
+    if (alloc.state(r) == fabric::RegionState::kReserved) continue;
+    const TaskId id = resident_[r];
     if (id != 0) {
-      if (alloc.state(b.region) == fabric::RegionState::kFree) {
-        alloc.acquire(b.region, id);
-      } else if (alloc.owner(b.region) != id) {
-        alloc.release(b.region);
-        alloc.acquire(b.region, id);
+      if (alloc.state(r) == fabric::RegionState::kFree) {
+        alloc.acquire(r, id);
+      } else if (alloc.owner(r) != id) {
+        alloc.release(r);
+        alloc.acquire(r, id);
       }
-    } else if (alloc.state(b.region) == fabric::RegionState::kBusy) {
-      alloc.release(b.region);
+    } else if (alloc.state(r) == fabric::RegionState::kBusy) {
+      alloc.release(r);
     }
   }
 }
 
-Status SlotScheduler::migrate_region(u32 from_region, u32 to_region) {
-  const u32 from_slot = slot_of_region(from_region);
-  const u32 to_slot = slot_of_region(to_region);
-  if (from_slot == kNoSlot || to_slot == kNoSlot) {
+Status SlotScheduler::migrate_region(u32 from_slot, u32 to_slot) {
+  if (from_slot >= slots_.size() || to_slot >= slots_.size()) {
     return Status::kInvalidArgument;
   }
   TaskRecord* t = find(resident_[from_slot]);
@@ -735,7 +721,6 @@ Status SlotScheduler::migrate_region(u32 from_region, u32 to_region) {
 
 Status SlotScheduler::acquire_span(u32 class_id, u32 len, bool allow_compaction,
                                    std::vector<u32>* regions) {
-  if (engine_ == nullptr) return Status::kInternal;
   fabric::FabricAllocator& alloc = engine_->allocator();
   sync_allocator();
 
@@ -776,7 +761,6 @@ Status SlotScheduler::acquire_span(u32 class_id, u32 len, bool allow_compaction,
 }
 
 Status SlotScheduler::release_span(std::span<const u32> regions) {
-  if (engine_ == nullptr) return Status::kInternal;
   if (regions.empty()) return Status::kInvalidArgument;
   fabric::FabricAllocator& alloc = engine_->allocator();
   for (u32 r : regions) {

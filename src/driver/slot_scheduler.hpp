@@ -8,9 +8,9 @@
 // partition's frames are read back to a DDR capture area, the module's
 // architectural state is serialized, and both are sealed under a CRC
 // digest. Resuming re-verifies the digest, rebuilds a loadable
-// bitstream from the captured image, reconfigures the SAME slot (frame
-// addresses are absolute), and reinstates the serialized state — the
-// task continues bit-identically.
+// bitstream from the captured image against the destination slot's
+// partition, reconfigures it, and reinstates the serialized state —
+// the task continues bit-identically.
 //
 // Fail-safe swap recovery: any verification failure — torn capture
 // image, frames gone stale under the scrub service, a capture taken
@@ -24,15 +24,16 @@
 // lower-effective-priority entry is evicted, and queued tasks age
 // (priority + waiting-time credit) so low-priority work cannot starve.
 //
-// Relocation-aware placement (PR 8): with a PlacementEngine attached,
-// tasks request a compatibility CLASS rather than a slot — best-first
-// placement picks any free compatible region, materializing a
-// relocated bitstream variant on demand, preempted tasks may resume in
-// a DIFFERENT compatible slot (the capture image is rebuilt against
-// the destination partition), and acquire_span() serves wide-footprint
-// requests, running a compaction pass (capture/restore migrations of
-// residents) when fragmentation would otherwise starve them. Without
-// an engine the scheduler behaves exactly as before.
+// Relocation-aware placement: every slot is one FabricAllocator region
+// (region id == slot id), and the attached PlacementEngine is the one
+// path for region assignment. A task runs in any free slot whose
+// manager holds its module or whose region is compatible with the
+// engine's catalogue entry (a relocated bitstream variant is
+// materialized on demand); a preempted task may resume in a DIFFERENT
+// compatible slot when its capture slot is taken; and acquire_span()
+// serves wide-footprint requests, running a compaction pass
+// (capture/restore migrations of residents) when fragmentation would
+// otherwise starve them.
 #pragma once
 
 #include <span>
@@ -52,11 +53,11 @@ class SlotScheduler : public ProgressMonitor {
   using TaskId = u64;
   static constexpr u32 kNoSlot = ~u32{0};
   static constexpr u32 kNoArea = ~u32{0};
-  static constexpr u32 kNoRegion = ~u32{0};
 
   /// One reconfigurable slot's full software stack. All pointers must
   /// outlive the scheduler; `manager`/`service` are the slot's own
-  /// (slot-bound Config::slot_id) instances.
+  /// (slot-bound Config::slot_id) instances. The slot serves
+  /// FabricAllocator region `slot_id`.
   struct SlotBinding {
     u32 slot_id = 0;
     ReconfigService* service = nullptr;
@@ -65,9 +66,6 @@ class SlotScheduler : public ProgressMonitor {
     fabric::ConfigMemory* cfg = nullptr;
     usize cfg_handle = 0;           // this slot's partition handle
     Addr cmd_staging = 0;           // readback command staging (DDR)
-    /// FabricAllocator region this slot serves (engine mode only);
-    /// kNoRegion defaults to slot_id — the ArianeSoc convention.
-    u32 region = kNoRegion;
   };
 
   /// A task is abandoned (kFailed) after this many rollbacks.
@@ -199,13 +197,11 @@ class SlotScheduler : public ProgressMonitor {
   /// intent for the cold-boot recovery manager. nullptr detaches.
   void attach_intent_journal(RecoveryJournal* j) { intent_ = j; }
 
-  /// Attach the relocation-aware placement engine: tasks then request
-  /// a compatibility class (any free compatible region hosts them, a
-  /// relocated variant is materialized + registered on first landing),
-  /// and the span/compaction API below becomes available. nullptr
-  /// restores the legacy slot-bound behavior.
+  /// Attach the relocation-aware placement engine over the SoC's
+  /// allocator (region id == slot id). Required before submit(): any
+  /// free compatible region hosts a task, and a relocated variant is
+  /// materialized + registered on first landing.
   void attach_placement(PlacementEngine* engine) { engine_ = engine; }
-  PlacementEngine* placement() { return engine_; }
 
   /// Wide-footprint serving: reserve `len` pairwise-adjacent free
   /// regions of `class_id`. When fragmentation defeats the request and
@@ -262,19 +258,19 @@ class SlotScheduler : public ProgressMonitor {
   TaskRecord* best_resident(u64 now);
   void expire_queued(u64 now);
   bool ensure_resident(TaskRecord& t, u64 now);
-  /// True when `slot` may host `t`: module registered there, or (engine
-  /// mode) the slot's region is compatible and not span-reserved.
+  /// True when `slot` is not span-reserved and may host `t`: module
+  /// registered with the slot's manager, or the slot's region is
+  /// compatible with the engine's catalogue entry.
   bool slot_eligible(u32 slot, const TaskRecord& t);
-  /// Engine mode: materialize the task's image for the slot's region
-  /// and register it with the slot's manager (idempotent).
+  /// Materialize the task's image for the slot's region and register it
+  /// with the slot's manager (idempotent).
   Status prepare_slot(TaskRecord& t, u32 slot);
   bool region_reserved(u32 slot) const;
-  u32 slot_of_region(u32 region) const;
-  /// Compaction step: capture the resident of `from_region`'s slot and
-  /// restore it into `to_region`'s slot. The source region is vacated
-  /// as long as the capture succeeds (a failed re-place parks the task
-  /// for a later resume elsewhere).
-  Status migrate_region(u32 from_region, u32 to_region);
+  /// Compaction step: capture the resident of `from_slot` and restore
+  /// it into `to_slot` (slot id == region id). The source is vacated as
+  /// long as the capture succeeds (a failed re-place parks the task for
+  /// a later resume elsewhere).
+  Status migrate_region(u32 from_slot, u32 to_slot);
   Status capture(TaskRecord& victim);
   /// Verified restore; falls back to rollback() on any failure. After
   /// a successful return the task is kRunning (or terminal kFailed).

@@ -80,16 +80,16 @@ Stack::Stack(soc::ArianeSoc& soc, const Parts& parts, sim::FaultInjector* fi,
     scrub_ = std::make_unique<ScrubService>(drv_, soc.config_memory(),
                                             *services_[0], c);
   }
-  if (parts.placement) {
-    PlacementEngine::Config c = *parts.placement;
-    c.reloc_arena = layout_.base(DdrLayout::kRelocArena);
+  if (parts.scheduler) {
+    // Placement is the scheduler's one path for region assignment.
     layout_.require_fits(DdrLayout::kRelocArena,
                          u64{PlacementEngine::kRelocSlots} *
                              PlacementEngine::kRelocSlotBytes,
                          "PlacementEngine relocation arena");
-    placement_ = std::make_unique<PlacementEngine>(drv_, soc.allocator(), c);
-  }
-  if (parts.scheduler) {
+    placement_ = std::make_unique<PlacementEngine>(
+        drv_, soc.allocator(),
+        PlacementEngine::Config{layout_.base(DdrLayout::kRelocArena)});
+
     SlotScheduler::Config c = *parts.scheduler;
     c.capture_arena = layout_.base(DdrLayout::kCaptureArena);
     c.restore_staging = layout_.base(DdrLayout::kRestoreStaging);
@@ -100,13 +100,13 @@ Stack::Stack(soc::ArianeSoc& soc, const Parts& parts, sim::FaultInjector* fi,
     scheduler_ = std::make_unique<SlotScheduler>(drv_, c);
     scheduler_->set_fault_injector(fi);
     scheduler_->attach_intent_journal(journal_.get());
+    scheduler_->attach_placement(placement_.get());
     for (u32 s = 0; s < layout_.num_slots(); ++s) {
       scheduler_->add_slot({s, services_[s].get(), managers_[s].get(),
                             &soc.slot_rm(s), &soc.config_memory(),
                             partition_handle(s),
                             layout_.slot_base(DdrLayout::kCmdStaging, s)});
     }
-    scheduler_->attach_placement(placement_.get());
   }
 }
 

@@ -12,8 +12,7 @@
 //   -> BitstreamDelivery (+ cache)    (SocConfig::with_net, Parts::cache)
 //   -> per slot: DprManager + ReconfigService bound to slot_id
 //   -> ScrubService                   (Parts::scrub)
-//   -> PlacementEngine                (Parts::placement)
-//   -> SlotScheduler                  (Parts::scheduler)
+//   -> PlacementEngine + SlotScheduler (Parts::scheduler)
 //
 // and tears it down in reverse. Every optional part follows from the
 // SocConfig or is requested by passing that component's own Config;
@@ -56,7 +55,6 @@ class Stack {
     std::optional<ScrubService::Config> scrub;
     std::optional<BitstreamCache::Config> cache;
     std::optional<RecoveryJournal::Config> journal;
-    std::optional<PlacementEngine::Config> placement;
     std::optional<SlotScheduler::Config> scheduler;
   };
 
@@ -94,7 +92,7 @@ class Stack {
   /// then stage it as above.
   Status stage(u32 slot, std::string name, u32 rm_id);
   /// Generate the module's home image (slot 0's partition) and register
-  /// it once with the placement engine.
+  /// it once with the placement engine (scheduler stacks only).
   Status stage_home(std::string name, u32 rm_id);
 
  private:

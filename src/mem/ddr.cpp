@@ -54,7 +54,7 @@ bool DdrController::tick() {
     progress = true;
   }
   if (const axi::AxiAw* aw = port_.aw.front()) {
-    writes_.push_back(WriteJob{aw->addr, u32{aw->len} + 1, cfg_.write_latency});
+    writes_.push_back(WriteJob{aw->addr, u32{aw->len} + 1, kWriteLatency});
     port_.aw.pop();
     progress = true;
   }

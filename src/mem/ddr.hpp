@@ -30,9 +30,11 @@ namespace rvcap::mem {
 
 class DdrController : public sim::Component {
  public:
+  /// Cycles from the last W beat to the B response.
+  static constexpr u32 kWriteLatency = 10;
+
   struct Config {
     u32 read_latency = 16;   // cycles from AR accept to first R beat
-    u32 write_latency = 10;  // cycles from last W beat to B response
     u64 size_bytes = 1ULL << 30;
   };
 

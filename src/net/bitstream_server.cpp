@@ -10,8 +10,8 @@ namespace rvcap::net {
 
 namespace sites = sim::fault_sites;
 
-BitstreamServer::BitstreamServer(std::string name, NetLink& link, Config cfg)
-    : Component(std::move(name)), cfg_(cfg), link_(link) {
+BitstreamServer::BitstreamServer(std::string name, NetLink& link)
+    : Component(std::move(name)), link_(link) {
   link_.b_rx().watch(this);
   link_.b_tx().watch(this);
 }
@@ -77,7 +77,7 @@ bool BitstreamServer::tick() {
     ++served_;
   }
   pending_ = true;
-  ready_at_ = sim_now() + cfg_.service_cycles;
+  ready_at_ = sim_now() + kServiceCycles;
   wake_at(ready_at_);
   return true;
 }

@@ -23,11 +23,10 @@ namespace rvcap::net {
 
 class BitstreamServer : public sim::Component {
  public:
-  struct Config {
-    Cycles service_cycles = 200;  // per-request lookup/chunk cost
-  };
+  /// Per-request lookup/chunk cost.
+  static constexpr Cycles kServiceCycles = 200;
 
-  BitstreamServer(std::string name, NetLink& link, Config cfg);
+  BitstreamServer(std::string name, NetLink& link);
 
   /// Publish an image under `name`. Replaces any previous content.
   void add_image(std::string_view name, std::vector<u8> bytes) {
@@ -52,7 +51,6 @@ class BitstreamServer : public sim::Component {
  private:
   NetFrame build_response(const NetFrame& req) const;
 
-  Config cfg_;
   NetLink& link_;
   std::map<std::string, std::vector<u8>> images_;
   sim::FaultInjector* fi_ = nullptr;

@@ -8,14 +8,12 @@ namespace rvcap::net {
 
 namespace sites = sim::fault_sites;
 
-NetLink::NetLink(std::string name, Config cfg)
+NetLink::NetLink(std::string name)
     : Component(std::move(name)),
-      cfg_(cfg),
-      a_tx_(cfg.queue_capacity),
-      a_rx_(cfg.queue_capacity),
-      b_tx_(cfg.queue_capacity),
-      b_rx_(cfg.queue_capacity) {
-  if (cfg_.cycles_per_byte == 0) cfg_.cycles_per_byte = 1;
+      a_tx_(kQueueCapacity),
+      a_rx_(kQueueCapacity),
+      b_tx_(kQueueCapacity),
+      b_rx_(kQueueCapacity) {
   ab_.in = &a_tx_;
   ab_.out = &b_rx_;
   ba_.in = &b_tx_;
@@ -71,9 +69,9 @@ bool NetLink::accept_one(Direction& d) {
   // wire, so departure is serialized behind the previous frame.
   const Cycles depart =
       std::max(sim_now(), d.last_depart) +
-      static_cast<Cycles>(f.wire_bytes()) * cfg_.cycles_per_byte;
+      static_cast<Cycles>(f.wire_bytes()) * kCyclesPerByte;
   d.last_depart = depart;
-  Cycles deliver_at = depart + cfg_.latency_cycles;
+  Cycles deliver_at = depart + kLatencyCycles;
 
   // Fault sites, fixed query order so the damage schedule depends only
   // on the seed and the sequence of accepted frames.
@@ -98,7 +96,7 @@ bool NetLink::accept_one(Direction& d) {
                   sim_now(), op, f.chunk, 0);
       enqueue(d, f,
               deliver_at + static_cast<Cycles>(f.wire_bytes()) *
-                               cfg_.cycles_per_byte);
+                               kCyclesPerByte);
     }
     if (fi_->should_fire(sites::kNetReorder)) {
       // Delay past anything currently in flight in this direction.
@@ -109,7 +107,7 @@ bool NetLink::accept_one(Direction& d) {
       for (const InFlight& e : d.flight) {
         latest = std::max(latest, e.deliver_at);
       }
-      deliver_at = latest + cfg_.latency_cycles;
+      deliver_at = latest + kLatencyCycles;
     }
   }
 

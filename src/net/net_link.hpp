@@ -57,13 +57,11 @@ struct NetFrame {
 
 class NetLink : public sim::Component {
  public:
-  struct Config {
-    u64 cycles_per_byte = 1;   // serialization rate (~100 MB/s at 1)
-    Cycles latency_cycles = 500;  // propagation + switching delay
-    usize queue_capacity = 8;  // per-endpoint fifo depth
-  };
+  static constexpr u64 kCyclesPerByte = 1;  // serialization (~100 MB/s)
+  static constexpr Cycles kLatencyCycles = 500;  // propagation + switching
+  static constexpr usize kQueueCapacity = 8;     // per-endpoint fifo depth
 
-  NetLink(std::string name, Config cfg);
+  explicit NetLink(std::string name);
 
   /// Client (A) endpoint: push requests into a_tx(), pop responses
   /// from a_rx(). Server (B) endpoint mirrors it.
@@ -116,7 +114,6 @@ class NetLink : public sim::Component {
   void enqueue(Direction& d, NetFrame f, Cycles deliver_at);
   Cycles next_deliver() const;
 
-  Config cfg_;
   sim::Fifo<NetFrame> a_tx_;
   sim::Fifo<NetFrame> a_rx_;
   sim::Fifo<NetFrame> b_tx_;

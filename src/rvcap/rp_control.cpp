@@ -6,11 +6,8 @@
 
 namespace rvcap::rvcap_ctrl {
 
-RpControl::RpControl(std::string name, axi::AxisIsolator& isolator,
-                     axi::AxisSwitch& axis_switch)
-    : AxiLiteSlave(std::move(name)), switch_(axis_switch) {
-  slots_.push_back(Slot{&isolator});
-}
+RpControl::RpControl(std::string name, axi::AxisSwitch& axis_switch)
+    : AxiLiteSlave(std::move(name)), switch_(axis_switch) {}
 
 u32 RpControl::add_slot(axi::AxisIsolator& isolator) {
   assert(slots_.size() < kMaxSlots);

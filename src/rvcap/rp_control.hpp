@@ -7,7 +7,7 @@
 //
 // Multi-slot layout: the register window repeats every 0x100 bytes,
 // one window per reconfigurable-partition slot (bits [11:8] of the
-// address select the slot; the legacy 0x00..0xFF window is slot 0).
+// address select the slot; the 0x00..0xFF window is slot 0).
 // The decouple bit and RM register file are per-slot; select_ICAP,
 // decompress, the abort pulse, and rm_select drive the single shared
 // ICAP/stream datapath and behave identically from any slot window.
@@ -60,12 +60,11 @@ class RpControl : public axi::AxiLiteSlave {
   /// software must not flip routes until this clears.
   static constexpr u32 kStDraining = 1u << 4;
 
-  /// `isolator` becomes slot 0 (the legacy single-RP window).
-  RpControl(std::string name, axi::AxisIsolator& isolator,
-            axi::AxisSwitch& axis_switch);
+  RpControl(std::string name, axi::AxisSwitch& axis_switch);
 
-  /// Register the isolator of one additional reconfigurable-partition
-  /// slot; returns the new slot index. Wiring-time only.
+  /// Register the isolator of the next reconfigurable-partition slot
+  /// (the first call creates slot 0); returns the new slot index.
+  /// Wiring-time only.
   u32 add_slot(axi::AxisIsolator& isolator);
   u32 num_slots() const { return static_cast<u32>(slots_.size()); }
 
@@ -78,16 +77,11 @@ class RpControl : public axi::AxiLiteSlave {
     abort_hook_ = std::move(hook);
   }
 
-  /// The SoC wires the active RM's register file here (nullptr while
-  /// the partition holds no module). Two-argument form: slot 0.
-  void attach_rm(RmRegisterFile* rm, u32 rm_id) { attach_rm(0, rm, rm_id); }
+  /// The SoC wires each slot's RM register file here (nullptr while
+  /// the partition holds no module).
   void attach_rm(u32 slot, RmRegisterFile* rm, u32 rm_id) {
     slots_[slot].rm = rm;
     slots_[slot].rm_id = rm_id;
-  }
-  void detach_rm(u32 slot = 0) {
-    slots_[slot].rm = nullptr;
-    slots_[slot].rm_id = 0;
   }
 
   bool decoupled(u32 slot = 0) const { return slots_[slot].decouple; }

@@ -8,6 +8,29 @@
 
 namespace rvcap::soc {
 
+namespace {
+
+// Slot s >= 1 replicates RP0's column footprint into clock-region row
+// s - 1, skipping RP0's own row (the acceleration window exists at
+// every row), so all slots land in one relocation-compatibility class:
+// a single synthesized RM image serves any slot after FAR retargeting
+// (bitstream::relocate_bitstream).
+fabric::Partition replica_slot(const fabric::DeviceGeometry& dev,
+                               const fabric::Partition& rp0, u32 s) {
+  const u32 row = s - 1 + (s - 1 >= rp0.columns().front().row ? 1 : 0);
+  if (row >= dev.rows()) {
+    throw std::invalid_argument(
+        "device cannot host reconfigurable-partition slot " +
+        std::to_string(s));
+  }
+  std::vector<fabric::Partition::ColumnRef> cols;
+  cols.reserve(rp0.columns().size());
+  for (const auto& ref : rp0.columns()) cols.push_back({row, ref.column});
+  return fabric::Partition("RP" + std::to_string(s), std::move(cols));
+}
+
+}  // namespace
+
 ArianeSoc::ArianeSoc(const SocConfig& cfg)
     : cfg_(cfg),
       sim_(cfg.sim_mode),
@@ -16,8 +39,6 @@ ArianeSoc::ArianeSoc(const SocConfig& cfg)
                : fabric::DeviceGeometry::kintex7_325t()),
       cfg_mem_(dev_),
       icap_("icap", cfg_mem_),
-      rp0_(fabric::case_study_partition(dev_)),
-      rp0_handle_(cfg_mem_.register_partition(rp0_)),
       ddr_("ddr", cfg.ddr),
       boot_("boot_mem", MemoryMap::kBootMem.size, MemoryMap::kBootMem.base),
       clint_("clint"),
@@ -28,7 +49,7 @@ ArianeSoc::ArianeSoc(const SocConfig& cfg)
                     ? nullptr
                     : std::make_unique<storage::SdCard>(cfg.sd_blocks)),
       sd_(cfg.external_sd != nullptr ? *cfg.external_sd : *owned_sd_),
-      spi_("spi", sd_, cfg.spi_clock_divider),
+      spi_("spi", sd_),
       cpu_(sim_, cfg.timing),
       main_xbar_("main_xbar"),
       periph_conv_("periph.widthconv"),
@@ -52,48 +73,30 @@ ArianeSoc::ArianeSoc(const SocConfig& cfg)
                              &periph_conv_.upstream());
   main_xbar_.add_subordinate(MemoryMap::kBootMem, &boot_.port());
 
-  // ---- extra reconfigurable-partition slots (multi-slot serving) ----
+  // ---- reconfigurable-partition slots ----
+  // Slot 0 is the case-study partition; slot s registers ConfigMemory
+  // handle s.
   const u32 num_slots = std::max<u32>(cfg_.num_slots, 1);
-  if (num_slots > 1) {
-    extra_rps_.reserve(num_slots - 1);
-    // Every further slot replicates RP0's column footprint into a
-    // different clock-region row (the acceleration window exists at
-    // every row), so all slots land in one relocation-compatibility
-    // class: a single synthesized RM image serves any slot after FAR
-    // retargeting (bitstream::relocate_bitstream). The Floorplan check
-    // below then proves the plan is alias-free.
-    const u32 rp0_row = rp0_.columns().front().row;
-    u32 row = 0;
-    for (u32 s = 1; s < num_slots; ++s, ++row) {
-      if (row == rp0_row) ++row;
-      if (row >= dev_.rows()) {
-        throw std::invalid_argument(
-            "device cannot host reconfigurable-partition slot " +
-            std::to_string(s));
-      }
-      std::vector<fabric::Partition::ColumnRef> cols;
-      cols.reserve(rp0_.columns().size());
-      for (const auto& ref : rp0_.columns()) cols.push_back({row, ref.column});
-      extra_rps_.emplace_back("RP" + std::to_string(s), std::move(cols));
-      extra_rp_handles_.push_back(
-          cfg_mem_.register_partition(extra_rps_.back()));
-    }
+  slots_.reserve(num_slots);
+  for (u32 s = 0; s < num_slots; ++s) {
+    fabric::Partition p = s == 0 ? fabric::case_study_partition(dev_)
+                                 : replica_slot(dev_, slots_[0].partition, s);
+    const usize handle = cfg_mem_.register_partition(p);
+    slots_.push_back({std::move(p), handle, nullptr, nullptr});
   }
   // Geometry-check the slot floorplan: an overlapping or
   // out-of-geometry slot would alias configuration frames, so the
   // Floorplan constructor turns it into a hard error.
   std::vector<fabric::FloorplanRegion> regions;
-  regions.push_back({"RP0", &rp0_, '0'});
-  for (usize i = 0; i < extra_rps_.size(); ++i) {
-    regions.push_back({"RP" + std::to_string(i + 1), &extra_rps_[i],
-                       "0123456789ABCDEF"[i + 1]});
+  for (u32 s = 0; s < num_slots; ++s) {
+    const fabric::Partition& p = slots_[s].partition;
+    regions.push_back({p.name(), &p, "0123456789ABCDEF"[s]});
   }
   (void)fabric::Floorplan(dev_, std::move(regions));
   // One allocator region per slot (region id == slot id): the
   // relocation-aware placement layer's free/busy view of the fabric.
   allocator_ = std::make_unique<fabric::FabricAllocator>(dev_);
-  allocator_->add_region(rp0_);
-  for (const auto& p : extra_rps_) allocator_->add_region(p);
+  for (const Slot& slot : slots_) allocator_->add_region(slot.partition);
 
   // ---- DPR controllers ----
   rvcap_ = std::make_unique<rvcap_ctrl::RvCapController>(
@@ -123,32 +126,24 @@ ArianeSoc::ArianeSoc(const SocConfig& cfg)
 
   // ---- networked bitstream delivery plant ----
   if (cfg_.with_net) {
-    net_link_ = std::make_unique<net::NetLink>("net_link", cfg_.net_link);
-    net_server_ = std::make_unique<net::BitstreamServer>(
-        "net_server", *net_link_, cfg_.net_server);
+    net_link_ = std::make_unique<net::NetLink>("net_link");
+    net_server_ =
+        std::make_unique<net::BitstreamServer>("net_server", *net_link_);
   }
 
-  // ---- RM slot behind the isolator (needs the RV-CAP streams) ----
-  rm_slot_ = std::make_unique<accel::RmSlot>(
-      "rm_slot", cfg_mem_, rp0_handle_, rvcap_->rm_input());
-  accel::register_case_study_filters(*rm_slot_);
-  accel::register_cipher(*rm_slot_);
-  accel::register_fir(*rm_slot_);
-  rm_out_wire_ = std::make_unique<axi::AxisWire>(
-      "rm_slot.out", rm_slot_->out(), rvcap_->rm_output_in());
-  rvcap_->rp_control().attach_rm(rm_slot_.get(), 0);
-  for (u32 s = 1; s < num_slots; ++s) {
-    auto rs = std::make_unique<accel::RmSlot>(
-        "rm_slot" + std::to_string(s), cfg_mem_, extra_rp_handles_[s - 1],
-        rvcap_->rm_input(s));
-    accel::register_case_study_filters(*rs);
-    accel::register_cipher(*rs);
-    accel::register_fir(*rs);
-    extra_rm_wires_.push_back(std::make_unique<axi::AxisWire>(
-        "rm_slot" + std::to_string(s) + ".out", rs->out(),
-        rvcap_->rm_output_in(s)));
-    rvcap_->rp_control().attach_rm(s, rs.get(), 0);
-    extra_rm_slots_.push_back(std::move(rs));
+  // ---- RM slots behind the isolators (need the RV-CAP streams) ----
+  // Slot 0 keeps the single-RP names (rm_slot, rm_slot.out).
+  for (u32 s = 0; s < num_slots; ++s) {
+    Slot& slot = slots_[s];
+    const std::string name = "rm_slot" + (s == 0 ? "" : std::to_string(s));
+    slot.rm = std::make_unique<accel::RmSlot>(name, cfg_mem_, slot.handle,
+                                              rvcap_->rm_input(s));
+    accel::register_case_study_filters(*slot.rm);
+    accel::register_cipher(*slot.rm);
+    accel::register_fir(*slot.rm);
+    slot.out_wire = std::make_unique<axi::AxisWire>(
+        name + ".out", slot.rm->out(), rvcap_->rm_output_in(s));
+    rvcap_->rp_control().attach_rm(s, slot.rm.get(), 0);
   }
 
   // ---- simulator registration (dataflow order) ----
@@ -173,11 +168,9 @@ ArianeSoc::ArianeSoc(const SocConfig& cfg)
     sim_.add(hwicap_.get());
   }
   sim_.add(&ddr_);
-  sim_.add(rm_slot_.get());
-  sim_.add(rm_out_wire_.get());
-  for (usize i = 0; i < extra_rm_slots_.size(); ++i) {
-    sim_.add(extra_rm_slots_[i].get());
-    sim_.add(extra_rm_wires_[i].get());
+  for (Slot& slot : slots_) {
+    sim_.add(slot.rm.get());
+    sim_.add(slot.out_wire.get());
   }
   sim_.add(&icap_);
   // Net plant last: existing deployments keep their registration order

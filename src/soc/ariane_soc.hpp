@@ -3,9 +3,10 @@
 // Constructs and wires the platform the paper evaluates on: Ariane-class
 // CPU context, 64-bit AXI-4 main crossbar, DDR, on-chip boot memory,
 // SPI/SD card, CLINT (5 MHz timer), PLIC, the model Kintex-7 fabric with
-// its ICAP and configuration memory, one case-study reconfigurable
-// partition with stream isolator + RM slot, and — selectable per
-// deployment — the RV-CAP controller and/or the AXI_HWICAP baseline.
+// its ICAP and configuration memory, the RV-CAP controller, one or
+// more reconfigurable-partition slots (the case-study RP first), each
+// with a stream isolator + RM slot, and — selectable per deployment —
+// the AXI_HWICAP baseline and the networked delivery plant.
 #pragma once
 
 #include <memory>
@@ -55,14 +56,11 @@ struct SocConfig {
   sim::Simulator::Mode sim_mode = sim::Simulator::Mode::kScheduled;
   bool with_hwicap = false;  // instantiate the AXI_HWICAP baseline
   bool with_net = false;     // instantiate link + bitstream server
-  /// Reconfigurable-partition slots (1..16). Slot 0 is the legacy
-  /// case-study RP; further slots are planned around it and
-  /// geometry-checked (overlap is a hard construction error).
+  /// Reconfigurable-partition slots (1..16). Slot 0 is the case-study
+  /// RP; further slots are planned around it and geometry-checked
+  /// (overlap is a hard construction error).
   u32 num_slots = 1;
-  net::NetLink::Config net_link{};
-  net::BitstreamServer::Config net_server{};
   u32 hwicap_fifo_depth = 1024;  // paper resizes the vendor 64 -> 1024
-  u32 spi_clock_divider = 4;     // 25 MHz SD SPI clock
   u32 sd_blocks = 131072;        // 64 MiB card
   /// When set, the SoC wires its SPI controller to this externally
   /// owned card instead of constructing one — the power-loss reboot
@@ -94,24 +92,19 @@ class ArianeSoc {
   Uart& uart() { return uart_; }
   PerfRegs& perf_regs() { return perf_regs_; }
 
-  /// The case-study partition (RP0) and its tracking handle.
-  const fabric::Partition& rp0() const { return rp0_; }
-  usize rp0_handle() const { return rp0_handle_; }
-  accel::RmSlot& rm_slot() { return *rm_slot_; }
-
-  // ---- multi-slot views (slot 0 aliases the legacy RP0 plumbing) ----
-  u32 num_slots() const {
-    return static_cast<u32>(1 + extra_rps_.size());
-  }
+  // ---- reconfigurable-partition slots ----
+  u32 num_slots() const { return static_cast<u32>(slots_.size()); }
   const fabric::Partition& slot_partition(u32 slot) const {
-    return slot == 0 ? rp0_ : extra_rps_[slot - 1];
+    return slots_[slot].partition;
   }
-  usize slot_handle(u32 slot) const {
-    return slot == 0 ? rp0_handle_ : extra_rp_handles_[slot - 1];
-  }
-  accel::RmSlot& slot_rm(u32 slot) {
-    return slot == 0 ? *rm_slot_ : *extra_rm_slots_[slot - 1];
-  }
+  /// The partition's ConfigMemory tracking handle.
+  usize slot_handle(u32 slot) const { return slots_[slot].handle; }
+  accel::RmSlot& slot_rm(u32 slot) { return *slots_[slot].rm; }
+
+  /// Slot 0: the case-study partition (RP0).
+  const fabric::Partition& rp0() const { return slot_partition(0); }
+  usize rp0_handle() const { return slot_handle(0); }
+  accel::RmSlot& rm_slot() { return slot_rm(0); }
   /// Relocation-aware fabric allocator: one region per slot (region id
   /// == slot id); all slots share one compatibility class by
   /// construction, so a single RM image serves any of them.
@@ -151,8 +144,6 @@ class ArianeSoc {
   fabric::DeviceGeometry dev_;
   fabric::ConfigMemory cfg_mem_;
   icap::Icap icap_;
-  fabric::Partition rp0_;
-  usize rp0_handle_;
 
   // Memories and peripherals.
   mem::DdrController ddr_;
@@ -184,16 +175,17 @@ class ArianeSoc {
   std::unique_ptr<axi::AxiWire> hwicap_w0_;
   std::unique_ptr<axi::LiteWire> hwicap_w1_;
 
-  // RM slot + stream plumbing.
-  std::unique_ptr<accel::RmSlot> rm_slot_;
-  std::unique_ptr<axi::AxisWire> rm_out_wire_;
-
-  // Slots 1..N-1: planned partitions, handles, RM slots, out-wires.
+  /// One reconfigurable-partition slot: the planned partition, its
+  /// ConfigMemory handle, and the RM slot behind the slot's isolator
+  /// with its output wire back to the stream switch.
+  struct Slot {
+    fabric::Partition partition;
+    usize handle = 0;
+    std::unique_ptr<accel::RmSlot> rm;
+    std::unique_ptr<axi::AxisWire> out_wire;
+  };
+  std::vector<Slot> slots_;
   std::unique_ptr<fabric::FabricAllocator> allocator_;
-  std::vector<fabric::Partition> extra_rps_;
-  std::vector<usize> extra_rp_handles_;
-  std::vector<std::unique_ptr<accel::RmSlot>> extra_rm_slots_;
-  std::vector<std::unique_ptr<axi::AxisWire>> extra_rm_wires_;
 
   // Networked bitstream delivery plant (with_net deployments).
   std::unique_ptr<net::NetLink> net_link_;

@@ -34,7 +34,11 @@ class SpiController : public axi::AxiLiteSlave {
   static constexpr u32 kSrTxFull = 1u << 3;
   static constexpr u32 kSrBusy = 1u << 4;
 
-  SpiController(std::string name, SdCard& card, u32 clock_divider = 4);
+  /// Divider of the SoC's SD SPI clock: 25 MHz from the 100 MHz core.
+  static constexpr u32 kClockDivider = 4;
+
+  SpiController(std::string name, SdCard& card,
+                u32 clock_divider = kClockDivider);
 
   u32 clock_divider() const { return divider_; }
   u64 bytes_transferred() const { return bytes_; }

@@ -304,21 +304,19 @@ TEST_F(FaultRecoveryFixture, CorruptedRepairReloadNeverReplacesGoldenSnapshot) {
 }
 
 TEST_F(FaultRecoveryFixture, FallsBackToHwicapAfterRepeatedDmaFailures) {
-  DprManager::RecoveryPolicy p;
-  p.fallback_after_failures = 1;
-  mgr.set_policy(p);
-  fi.arm(sites::kDmaMm2sSlvErr, /*count=*/0);  // DMA path always fails
+  // DMA path always fails: tries 1..kFallbackAfterFailures run on it,
+  // and the next (last) try takes the fallback.
+  static_assert(DprManager::kFallbackAfterFailures < DprManager::kMaxAttempts);
+  fi.arm(sites::kDmaMm2sSlvErr, /*count=*/0);
   ASSERT_EQ(mgr.activate("sobel"), Status::kOk);
   EXPECT_EQ(mgr.active_module(), "sobel");
   EXPECT_FALSE(decoupled());
   EXPECT_EQ(mgr.stats().fallback_reconfigs, 1u);
-  EXPECT_GE(mgr.stats().dma_errors, 1u);
+  EXPECT_EQ(mgr.stats().dma_errors, DprManager::kFallbackAfterFailures);
 }
 
 TEST_F(FaultRecoveryFixture, ExhaustedRetriesLeaveRpDecoupled) {
-  DprManager::RecoveryPolicy p;
-  p.hwicap_fallback = false;  // no escape hatch
-  mgr.set_policy(p);
+  mgr.attach_fallback(nullptr);  // no escape hatch
   fi.arm(sites::kDmaMm2sSlvErr, /*count=*/0);
   EXPECT_EQ(mgr.activate("sobel"), Status::kIoError);
   EXPECT_TRUE(decoupled());
@@ -350,9 +348,7 @@ TEST_F(FaultRecoveryFixture, ActivationFailureKeepsPreviousModuleOut) {
   // The RP must end decoupled and blanked, not left on the stale or the
   // partial configuration.
   ASSERT_EQ(mgr.activate("sobel"), Status::kOk);
-  DprManager::RecoveryPolicy p;
-  p.hwicap_fallback = false;
-  mgr.set_policy(p);
+  mgr.attach_fallback(nullptr);
   fi.arm(sites::kDmaMm2sSlvErr, /*count=*/0);
   EXPECT_EQ(mgr.activate("median"), Status::kIoError);
   EXPECT_TRUE(decoupled());
@@ -364,10 +360,9 @@ TEST_F(FaultRecoveryFixture, SameSeedSameJournal) {
   // recoveries, or exhaustion plays out, an identically-seeded world
   // must reproduce it exactly — statuses, journal, and fire counts.
   const auto scenario = [](RecoveryWorld& w) {
-    DprManager::RecoveryPolicy p;
-    p.hwicap_fallback = false;       // keep the run on one path
-    p.scrub_after_recovery = false;  // and free of long readback waits
-    w.mgr.set_policy(p);
+    // One transfer path, and no long post-recovery readback waits.
+    w.mgr.attach_fallback(nullptr);
+    w.mgr.attach_scrubber(nullptr, nullptr);
     w.fi.arm(sites::kDmaMm2sSlvErr, 0, 0.5);
     w.fi.arm(sites::kIcapCrcCorrupt, 3, 0.001);
     std::vector<Status> out;

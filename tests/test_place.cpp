@@ -78,7 +78,6 @@ struct PlaceWorld : test::ServingWorld {
 
   static driver::Stack::Parts parts() {
     driver::Stack::Parts p;
-    p.placement = PlacementEngine::Config{};
     p.scheduler = test::serving_sched_config();
     return p;
   }

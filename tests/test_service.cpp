@@ -367,9 +367,7 @@ struct StressOutcome {
 StressOutcome run_stress(ServiceWorld& w, u64 seed) {
   // Keep every run on the DMA path and skip the (slow) readback scrub:
   // determinism is the property under test, not scrub coverage.
-  DprManager::RecoveryPolicy pol;
-  pol.scrub_after_recovery = false;
-  w.mgr.set_policy(pol);
+  w.mgr.attach_scrubber(nullptr, nullptr);
 
   // Every PR 1 fault site armed (bounded counts so the run converges;
   // the SD/staging sites are armed too even though pinned modules do

@@ -8,7 +8,8 @@
 //    producing its golden output through the shared stream switch;
 //  * preemption — a high-priority arrival captures the victim's frames
 //    and architectural state, runs, and the victim resumes
-//    bit-identically in the same slot;
+//    bit-identically in the same slot, or in the other vacant slot
+//    when a higher-priority task holds its own;
 //  * fail-safe swap — torn captures, stale frames, captures taken
 //    under an essential upset, and wedged swap transfers all end in a
 //    diagnosed rollback to a golden reload, never corrupted output;
@@ -415,6 +416,49 @@ TEST(SlotPreempt, RestoredOutputMatchesUninterruptedRun) {
             control.read_dst(kDataBase + 0x10000, 8 * 512));
 }
 
+TEST(SlotPreempt, ParkedTaskResumesInTheOtherSlotWhenItsSlotIsTaken) {
+  // Per-slot-staged rig: every slot's manager holds the module, and the
+  // placement engine lets a parked task resume in any eligible slot.
+  SlotScheduler::Config cc = test::serving_sched_config();
+  cc.aging_quantum_mtime = 4000;  // A outranks H soon after H lands
+  SlotWorld w(2, sim::Simulator::Mode::kScheduled, cc);
+  const u64 key = 0x7A5C'0DE5'1DE5'7E9DULL;
+  SlotScheduler::TaskId a = 0, h = 0;
+  ASSERT_EQ(w.sched->submit(w.cipher_task(key, 8 * 512, 0, kDataBase,
+                                          kDataBase + 0x10000, 91),
+                            &a),
+            Status::kOk);
+  ASSERT_TRUE(w.sched->step());
+  const u32 capture_slot = w.sched->task(a)->slot;
+  ASSERT_EQ(w.sched->preempt_slot(capture_slot), Status::kOk);
+
+  // The higher-priority H takes A's capture slot.
+  ASSERT_EQ(w.sched->submit(w.cipher_task(key, 16 * 512, 9,
+                                          kDataBase + 0x20000,
+                                          kDataBase + 0x30000, 92),
+                            &h),
+            Status::kOk);
+  ASSERT_TRUE(w.sched->step());
+  ASSERT_EQ(w.sched->resident(capture_slot), h);
+  ASSERT_EQ(w.sched->task(a)->state, TaskState::kPreempted);
+
+  // Once aged past H, A resumes in the vacant slot instead of
+  // preempting H: one migration, H never captured.
+  w.sched->drain();
+  EXPECT_EQ(w.sched->task(a)->state, TaskState::kCompleted);
+  EXPECT_EQ(w.sched->task(h)->state, TaskState::kCompleted);
+  EXPECT_NE(w.sched->task(a)->slot, capture_slot);
+  EXPECT_EQ(w.stack.placement()->stats().migrations, 1u);
+  EXPECT_EQ(w.sched->stats().preemptions, 1u);
+  EXPECT_EQ(w.sched->stats().restores, 1u);
+  EXPECT_EQ(w.sched->stats().rollbacks, 0u);
+  EXPECT_EQ(w.sched->task(h)->preemptions, 0u);
+  EXPECT_EQ(w.read_dst(kDataBase + 0x10000, 8 * 512),
+            w.cipher_golden(key, kDataBase, 8 * 512, 512));
+  EXPECT_EQ(w.read_dst(kDataBase + 0x30000, 16 * 512),
+            w.cipher_golden(key, kDataBase + 0x20000, 16 * 512, 512));
+}
+
 // ---------------------------------------------------------------------
 // Fail-safe swap recovery
 // ---------------------------------------------------------------------
@@ -471,6 +515,7 @@ TEST(SlotRecovery, RollbackBudgetExhaustionFailsTheTask) {
   EXPECT_EQ(w.sched->stats().rollbacks, SlotScheduler::kMaxRollbacks + 1);
   EXPECT_EQ(t->capture_area, SlotScheduler::kNoArea);  // area released
   EXPECT_EQ(w.sched->resident(slot), 0u);              // slot vacant
+  EXPECT_EQ(w.sched->stats().failed, 1u);
   EXPECT_FALSE(w.sched->step());  // nothing left to run
 }
 
