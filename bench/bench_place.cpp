@@ -159,7 +159,6 @@ CellResult run_cell(const Cell& cell, u64 seed,
   u32 steps = 0, hold = 0;
   while (w.sched->step()) {
     ++steps;
-    w.sched->sync_allocator();
     const double frag = w.soc.allocator().fragmentation(cls);
     r.frag_max_pct =
         std::max(r.frag_max_pct, static_cast<u32>(frag * 100.0 + 0.5));

@@ -44,16 +44,6 @@ void CpuContext::store32_uncached(Addr a, u32 v) {
                  high ? 0xF0 : 0x0F, 2);
 }
 
-u64 CpuContext::load64_uncached(Addr a) {
-  sim_.run_cycles(tm_.uncached_access_core_cycles);
-  return blocking_read(a, 3).data;
-}
-
-void CpuContext::store64_uncached(Addr a, u64 v) {
-  sim_.run_cycles(tm_.uncached_access_core_cycles);
-  blocking_write(a, v, 0xFF, 3);
-}
-
 u64 CpuContext::load64(Addr a) {
   sim_.run_cycles(tm_.cached_access_core_cycles);
   return blocking_read(a, 3).data;

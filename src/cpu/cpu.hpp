@@ -30,12 +30,16 @@ class CpuContext {
   sim::Simulator& simulator() { return sim_; }
   const CpuTimingModel& timing() const { return tm_; }
   Cycles now() const { return sim_.now(); }
+  /// Trace emitter for driver code named `name`, stamped with this
+  /// CPU's simulated clock. Interns `name` now: build it at the point
+  /// of construction that fixes the source's id.
+  obs::TraceSource trace_source(std::string_view name) {
+    return obs::TraceSource(sim_.obs().sink(), name, sim_.now_ptr());
+  }
 
   // ---- MMIO (non-cacheable) accesses: full pipeline drain ----
   u32 load32_uncached(Addr a);
   void store32_uncached(Addr a, u32 v);
-  u64 load64_uncached(Addr a);
-  void store64_uncached(Addr a, u64 v);
 
   // ---- cached accesses (driver data buffers in DDR) ----
   u64 load64(Addr a);

@@ -40,10 +40,9 @@ bool SdBitstreamSource::has_image(std::string_view image) const {
 // ------------------------------------------------------------- cache
 
 BitstreamCache::BitstreamCache(cpu::CpuContext& cpu, const Config& cfg)
-    : cpu_(cpu), cfg_(cfg), entries_(cfg.slots) {
+    : cpu_(cpu), cfg_(cfg), entries_(cfg.slots),
+      trace_(cpu.trace_source("bitstream_cache")) {
   obs::Observability& o = cpu_.simulator().obs();
-  sink_ = &o.sink();
-  src_ = sink_->intern("bitstream_cache");
   obs::CounterRegistry& c = o.counters();
   c.register_fn("net.cache.hits", [this] { return hits_; });
   c.register_fn("net.cache.misses", [this] { return misses_; });
@@ -75,8 +74,7 @@ bool BitstreamCache::lookup(std::string_view image, Addr dest, u32 capacity,
   Entry* e = find(image);
   if (e == nullptr) {
     ++misses_;
-    RVCAP_TRACE(sink_, obs::EventKind::kNetCacheMiss, src_, cpu_.now(),
-                0, 0, 0);
+    trace_(obs::EventKind::kNetCacheMiss);
     return false;
   }
   const usize slot = static_cast<usize>(e - entries_.data());
@@ -85,8 +83,7 @@ bool BitstreamCache::lookup(std::string_view image, Addr dest, u32 capacity,
   if (cpu_.crc32_buffer(slot_addr(slot), e->bytes) != e->crc) {
     e->valid = false;
     ++poisoned_;
-    RVCAP_TRACE(sink_, obs::EventKind::kNetCachePoison, src_, cpu_.now(),
-                0, 0, 0);
+    trace_(obs::EventKind::kNetCachePoison);
     ++misses_;
     return false;
   }
@@ -97,8 +94,7 @@ bool BitstreamCache::lookup(std::string_view image, Addr dest, u32 capacity,
   ddr_copy(slot_addr(slot), dest, e->bytes);
   e->last_use = ++use_clock_;
   ++hits_;
-  RVCAP_TRACE(sink_, obs::EventKind::kNetCacheHit, src_, cpu_.now(),
-              e->bytes, 0, 0);
+  trace_(obs::EventKind::kNetCacheHit, e->bytes);
   if (bytes_out != nullptr) *bytes_out = e->bytes;
   return true;
 }
@@ -151,10 +147,9 @@ std::string_view to_string(DeliveryPath p) {
   return "unknown";
 }
 
-BitstreamDelivery::BitstreamDelivery(cpu::CpuContext& cpu) : cpu_(cpu) {
+BitstreamDelivery::BitstreamDelivery(cpu::CpuContext& cpu)
+    : cpu_(cpu), trace_(cpu.trace_source("bitstream_delivery")) {
   obs::Observability& o = cpu_.simulator().obs();
-  sink_ = &o.sink();
-  src_ = sink_->intern("bitstream_delivery");
   obs::CounterRegistry& c = o.counters();
   c.register_fn("net.delivery.ok", [this] { return ok_; });
   c.register_fn("net.delivery.cache_hits", [this] { return cache_hits_; });
@@ -209,9 +204,9 @@ Status BitstreamDelivery::fetch(std::string_view image, Addr dest,
   // Graceful degradation: the primary could not deliver — try the
   // local copy before giving up.
   if (fallback_ != nullptr && fallback_->has_image(image)) {
-    RVCAP_TRACE(sink_, obs::EventKind::kNetFallback, src_, cpu_.now(), id,
-                static_cast<u64>(DeliveryPath::kSdFallback),
-                static_cast<u64>(primary_st));
+    trace_(obs::EventKind::kNetFallback, id,
+           static_cast<u64>(DeliveryPath::kSdFallback),
+           static_cast<u64>(primary_st));
     const Status st = fallback_->fetch(image, dest, capacity, bytes_out);
     if (ok(st)) {
       ++ok_;
@@ -229,9 +224,9 @@ Status BitstreamDelivery::fetch(std::string_view image, Addr dest,
   }
 
   ++failures_;
-  RVCAP_TRACE(sink_, obs::EventKind::kNetFallback, src_, cpu_.now(), id,
-              static_cast<u64>(DeliveryPath::kFailed),
-              static_cast<u64>(primary_st));
+  trace_(obs::EventKind::kNetFallback, id,
+         static_cast<u64>(DeliveryPath::kFailed),
+         static_cast<u64>(primary_st));
   record(image, DeliveryPath::kFailed, primary_st, cpu_.now() - t0);
   return primary_st;
 }

@@ -133,8 +133,7 @@ class BitstreamCache {
   Config cfg_;
   std::vector<Entry> entries_;
   u64 use_clock_ = 0;
-  obs::TraceSink* sink_ = nullptr;
-  u16 src_ = 0;
+  obs::TraceSource trace_;
   u64 hits_ = 0;
   u64 misses_ = 0;
   u64 poisoned_ = 0;
@@ -178,7 +177,6 @@ class BitstreamDelivery : public BitstreamSource {
   std::vector<Record> journal() const { return journal_.snapshot(); }
   u64 journal_events() const { return journal_.events(); }
 
-  u64 deliveries_ok() const { return ok_; }
   u64 cache_hits() const { return cache_hits_; }
   u64 net_deliveries() const { return net_ok_; }
   u64 sd_fallbacks() const { return sd_fallbacks_; }
@@ -197,8 +195,7 @@ class BitstreamDelivery : public BitstreamSource {
   BoundedRing<Record, kJournalCapacity> journal_;
   std::map<std::string, u16, std::less<>> image_ids_;
 
-  obs::TraceSink* sink_ = nullptr;
-  u16 src_ = 0;
+  obs::TraceSource trace_;
   obs::Histogram* delivery_hist_ = nullptr;
 
   u64 ok_ = 0;

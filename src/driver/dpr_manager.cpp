@@ -201,17 +201,38 @@ void DprManager::intent(IntentOp op, u32 rm_id, u8 flags, u32 arg0) {
   (void)intent_->append(r);
 }
 
+IntentRecord DprManager::encode_failure_note(const JournalEntry& e) {
+  IntentRecord r;
+  r.op = IntentOp::kFailureNote;
+  r.flags = static_cast<u8>(e.stage);
+  r.slot = static_cast<u16>(e.slot);
+  r.rm_id = e.rm_id;
+  r.mtime = e.mtime;
+  r.arg0 = (static_cast<u32>(e.stage) << 24) |
+           (static_cast<u32>(e.status) << 16) | (e.attempt & 0xFFFF);
+  return r;
+}
+
+DprManager::JournalEntry DprManager::decode_failure_note(
+    const IntentRecord& rec) {
+  return {rec.mtime,
+          static_cast<FailStage>(rec.arg0 >> 24),
+          static_cast<Status>((rec.arg0 >> 16) & 0xFF),
+          rec.rm_id,
+          rec.arg0 & 0xFFFF,
+          rec.slot};
+}
+
 void DprManager::record(FailStage stage, Status status, u32 rm_id,
                         u32 attempt) {
-  journal_.push({drv_.mtime(), stage, status, rm_id, attempt,
-                 config_.slot_id});
+  const JournalEntry e{drv_.mtime(), stage, status, rm_id, attempt,
+                       config_.slot_id};
+  journal_.push(e);
   // Mirror the volatile ring's tail into the persistent journal so a
-  // post-reboot diagnosis sees the pre-crash failure history. The
-  // packed arg0 round-trips through RecoveryManager::decode_failure.
-  intent(IntentOp::kFailureNote, rm_id,
-         static_cast<u8>(stage),
-         (static_cast<u32>(stage) << 24) |
-             (static_cast<u32>(status) << 16) | (attempt & 0xFFFF));
+  // post-reboot diagnosis sees the pre-crash failure history; the note
+  // is stamped at its own append.
+  const IntentRecord note = encode_failure_note(e);
+  intent(note.op, note.rm_id, note.flags, note.arg0);
 }
 
 Status DprManager::blank_partition(DmaMode mode, u32 attempt) {

@@ -68,7 +68,9 @@ class DprManager {
   static constexpr u32 kFallbackAfterFailures = 2;
 
   /// One failure-journal record; the journal is a fixed ring of the
-  /// most recent kJournalCapacity events.
+  /// most recent kJournalCapacity events. With an intent journal
+  /// attached, each entry is also mirrored on the card as a
+  /// kFailureNote, which a cold boot decodes back into this struct.
   struct JournalEntry {
     u64 mtime = 0;  // CLINT timestamp of the event
     FailStage stage{};
@@ -78,6 +80,11 @@ class DprManager {
     u32 slot = 0;  // RP slot the failing activation targeted
   };
   static constexpr usize kJournalCapacity = 32;
+
+  /// The kFailureNote codec: flags = stage and
+  /// arg0 = stage<<24 | status<<16 | attempt (low 16 bits).
+  static IntentRecord encode_failure_note(const JournalEntry& e);
+  static JournalEntry decode_failure_note(const IntentRecord& rec);
 
   struct Stats {
     u64 activation_requests = 0;

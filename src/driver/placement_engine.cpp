@@ -13,10 +13,9 @@ namespace rvcap::driver {
 PlacementEngine::PlacementEngine(RvCapDriver& drv,
                                  fabric::FabricAllocator& alloc,
                                  const Config& cfg)
-    : drv_(drv), alloc_(alloc), cfg_(cfg) {
+    : drv_(drv), alloc_(alloc), cfg_(cfg),
+      trace_(drv.cpu_context().trace_source("placement_engine")) {
   obs::Observability& o = drv_.cpu_context().simulator().obs();
-  sink_ = &o.sink();
-  src_ = sink_->intern("placement_engine");
   obs::CounterRegistry& c = o.counters();
   c.register_fn("place.requests", [this] { return stats_.requests; });
   c.register_fn("place.relocations", [this] { return stats_.relocations; });
@@ -26,10 +25,6 @@ PlacementEngine::PlacementEngine(RvCapDriver& drv,
   c.register_fn("place.compactions", [this] { return stats_.compactions; });
   c.register_fn("place.span_rejects",
                 [this] { return stats_.span_rejects; });
-}
-
-void PlacementEngine::trace(obs::EventKind kind, u64 a0, u64 a1, u64 a2) {
-  RVCAP_TRACE(sink_, kind, src_, drv_.cpu_context().now(), a0, a1, a2);
 }
 
 PlacementEngine::ModuleSpec* PlacementEngine::find(std::string_view name) {
@@ -133,11 +128,11 @@ Status PlacementEngine::materialize(std::string_view name, u32 region,
   if (m == nullptr) return Status::kNotFound;
   if (region >= alloc_.num_regions()) return Status::kInvalidArgument;
   ++stats_.requests;
-  trace(obs::EventKind::kPlaceRequest, m->rm_id, region);
+  trace_(obs::EventKind::kPlaceRequest, m->rm_id, region);
 
   Status st = ensure_source(*m);
   if (!ok(st)) {
-    trace(obs::EventKind::kPlaceReject, m->rm_id, static_cast<u64>(st));
+    trace_(obs::EventKind::kPlaceReject, m->rm_id, static_cast<u64>(st));
     return st;
   }
 
@@ -147,8 +142,8 @@ Status PlacementEngine::materialize(std::string_view name, u32 region,
     return Status::kOk;
   }
   if (!alloc_.compatible(m->home_region, region)) {
-    trace(obs::EventKind::kPlaceReject, m->rm_id,
-          static_cast<u64>(Status::kInvalidArgument));
+    trace_(obs::EventKind::kPlaceReject, m->rm_id,
+           static_cast<u64>(Status::kInvalidArgument));
     return Status::kInvalidArgument;
   }
 
@@ -158,7 +153,7 @@ Status PlacementEngine::materialize(std::string_view name, u32 region,
   if (Variant* v = find_variant(name, region)) {
     if (drv_.cpu_context().crc32_buffer(v->addr, v->bytes) == v->crc) {
       ++stats_.reloc_cache_hits;
-      trace(obs::EventKind::kPlaceRelocHit, m->rm_id, region);
+      trace_(obs::EventKind::kPlaceRelocHit, m->rm_id, region);
       *out = {v->addr, v->bytes, m->rm_id};
       return Status::kOk;
     }
@@ -168,7 +163,7 @@ Status PlacementEngine::materialize(std::string_view name, u32 region,
   Addr addr = 0;
   st = claim_arena_slot(&addr);
   if (!ok(st)) {
-    trace(obs::EventKind::kPlaceReject, m->rm_id, static_cast<u64>(st));
+    trace_(obs::EventKind::kPlaceReject, m->rm_id, static_cast<u64>(st));
     return st;
   }
 
@@ -183,7 +178,7 @@ Status PlacementEngine::materialize(std::string_view name, u32 region,
                 drv_.cpu_context().crc32_buffer(addr, bytes)};
       materialized_.push_back(std::move(v));
       ++stats_.reloc_cache_hits;
-      trace(obs::EventKind::kPlaceRelocHit, m->rm_id, region);
+      trace_(obs::EventKind::kPlaceRelocHit, m->rm_id, region);
       *out = {addr, bytes, m->rm_id};
       return Status::kOk;
     }
@@ -199,8 +194,8 @@ Status PlacementEngine::materialize(std::string_view name, u32 region,
           bitstream::kCompressMagic) {
     ++stats_.reloc_failures;
     --next_arena_slot_;
-    trace(obs::EventKind::kPlaceReject, m->rm_id,
-          static_cast<u64>(Status::kProtocolError));
+    trace_(obs::EventKind::kPlaceReject, m->rm_id,
+           static_cast<u64>(Status::kProtocolError));
     return Status::kProtocolError;
   }
   std::vector<u8> moved;
@@ -210,7 +205,7 @@ Status PlacementEngine::materialize(std::string_view name, u32 region,
   if (!ok(st)) {
     ++stats_.reloc_failures;
     --next_arena_slot_;
-    trace(obs::EventKind::kPlaceReject, m->rm_id, static_cast<u64>(st));
+    trace_(obs::EventKind::kPlaceReject, m->rm_id, static_cast<u64>(st));
     return st;
   }
   const bitstream::PreflightReport report = bitstream::preflight_check(
@@ -218,8 +213,8 @@ Status PlacementEngine::materialize(std::string_view name, u32 region,
   if (!ok(report.status)) {
     ++stats_.reloc_failures;
     --next_arena_slot_;
-    trace(obs::EventKind::kPlaceReject, m->rm_id,
-          static_cast<u64>(report.status));
+    trace_(obs::EventKind::kPlaceReject, m->rm_id,
+           static_cast<u64>(report.status));
     return report.status;
   }
   if (moved.size() > kRelocSlotBytes) {
@@ -237,36 +232,36 @@ Status PlacementEngine::materialize(std::string_view name, u32 region,
     variants_->insert(key, addr, static_cast<u32>(moved.size()));
   }
   ++stats_.relocations;
-  trace(obs::EventKind::kPlaceRelocate, m->rm_id, m->home_region, region);
+  trace_(obs::EventKind::kPlaceRelocate, m->rm_id, m->home_region, region);
   return Status::kOk;
 }
 
 void PlacementEngine::note_migration(u64 task, u32 from_slot, u32 to_slot) {
   ++stats_.migrations;
-  trace(obs::EventKind::kPlaceMigrate, task, from_slot, to_slot);
+  trace_(obs::EventKind::kPlaceMigrate, task, from_slot, to_slot);
 }
 
 void PlacementEngine::note_compaction(u32 class_id, usize migrations,
                                       u32 len) {
   ++stats_.compactions;
-  trace(obs::EventKind::kPlaceCompact, class_id, migrations, len);
+  trace_(obs::EventKind::kPlaceCompact, class_id, migrations, len);
 }
 
 void PlacementEngine::note_span_grant(u32 class_id, u32 base_region,
                                       u32 len) {
   ++stats_.span_grants;
-  trace(obs::EventKind::kPlaceSpan, class_id, base_region, len);
+  trace_(obs::EventKind::kPlaceSpan, class_id, base_region, len);
 }
 
 void PlacementEngine::note_span_release(u32 class_id, u32 base_region,
                                         u32 len) {
-  trace(obs::EventKind::kPlaceSpanFree, class_id, base_region, len);
+  trace_(obs::EventKind::kPlaceSpanFree, class_id, base_region, len);
 }
 
 void PlacementEngine::note_span_reject(u32 class_id) {
   ++stats_.span_rejects;
-  trace(obs::EventKind::kPlaceReject, class_id,
-        static_cast<u64>(Status::kNoSpace));
+  trace_(obs::EventKind::kPlaceReject, class_id,
+         static_cast<u64>(Status::kNoSpace));
 }
 
 }  // namespace rvcap::driver

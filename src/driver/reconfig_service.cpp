@@ -9,10 +9,9 @@
 namespace rvcap::driver {
 
 ReconfigService::ReconfigService(DprManager& mgr, const Config& cfg)
-    : mgr_(mgr), cfg_(cfg) {
+    : mgr_(mgr), cfg_(cfg),
+      trace_(mgr.driver().cpu_context().trace_source("reconfig_service")) {
   obs::Observability& o = mgr_.driver().cpu_context().simulator().obs();
-  sink_ = &o.sink();
-  src_ = sink_->intern("reconfig_service");
   obs::CounterRegistry& c = o.counters();
   c.register_fn("service.queue_depth",
                 [this] { return static_cast<u64>(queue_depth()); });
@@ -21,11 +20,6 @@ ReconfigService::ReconfigService(DprManager& mgr, const Config& cfg)
   c.register_fn("service.hangs", [this] { return stats_.hangs; });
   wait_ticks_ = c.histogram("service.wait_ticks");
   active_ticks_ = c.histogram("service.active_ticks");
-}
-
-void ReconfigService::trace(obs::EventKind kind, u64 a0, u64 a1, u64 a2) {
-  RVCAP_TRACE(sink_, kind, src_, mgr_.driver().cpu_context().now(), a0, a1,
-              a2);
 }
 
 ReconfigService::RequestRecord* ReconfigService::find(RequestId id) {
@@ -124,9 +118,9 @@ Status ReconfigService::submit(const ActivationRequest& req, RequestId* id) {
     ++stats_.quarantine_rejects;
     RequestRecord& r = make_record(RequestState::kRejected,
                                    Status::kQuarantined);
-    trace(obs::EventKind::kSvcSubmit, r.id, req.priority);
-    trace(obs::EventKind::kSvcReject, r.id,
-          static_cast<u64>(Status::kQuarantined));
+    trace_(obs::EventKind::kSvcSubmit, r.id, req.priority);
+    trace_(obs::EventKind::kSvcReject, r.id,
+           static_cast<u64>(Status::kQuarantined));
     return Status::kQuarantined;
   }
 
@@ -136,16 +130,16 @@ Status ReconfigService::submit(const ActivationRequest& req, RequestId* id) {
     ++stats_.deadline_missed;
     RequestRecord& r =
         make_record(RequestState::kDeadlineMissed, Status::kDeadlineMissed);
-    trace(obs::EventKind::kSvcSubmit, r.id, req.priority);
-    trace(obs::EventKind::kSvcDeadlineMiss, r.id);
+    trace_(obs::EventKind::kSvcSubmit, r.id, req.priority);
+    trace_(obs::EventKind::kSvcDeadlineMiss, r.id);
     return Status::kDeadlineMissed;
   }
 
   // Pre-flight parse of the staged image (stages it on a miss).
   if (auto st = preflight(req); !ok(st)) {
     RequestRecord& r = make_record(RequestState::kRejected, st);
-    trace(obs::EventKind::kSvcSubmit, r.id, req.priority);
-    trace(obs::EventKind::kSvcReject, r.id, static_cast<u64>(st));
+    trace_(obs::EventKind::kSvcSubmit, r.id, req.priority);
+    trace_(obs::EventKind::kSvcReject, r.id, static_cast<u64>(st));
     return st;
   }
 
@@ -166,8 +160,8 @@ Status ReconfigService::submit(const ActivationRequest& req, RequestId* id) {
     const RequestId parent = q.id;
     RequestRecord& r = make_record(RequestState::kCoalesced, Status::kOk);
     r.merged_into = parent;
-    trace(obs::EventKind::kSvcSubmit, r.id, req.priority);
-    trace(obs::EventKind::kSvcCoalesce, r.id, parent);
+    trace_(obs::EventKind::kSvcSubmit, r.id, req.priority);
+    trace_(obs::EventKind::kSvcCoalesce, r.id, parent);
     return Status::kOk;
   }
 
@@ -186,21 +180,21 @@ Status ReconfigService::submit(const ActivationRequest& req, RequestId* id) {
       ++stats_.rejected_full;
       RequestRecord& r = make_record(RequestState::kRejected,
                                      Status::kRejected);
-      trace(obs::EventKind::kSvcSubmit, r.id, req.priority);
-      trace(obs::EventKind::kSvcReject, r.id,
-            static_cast<u64>(Status::kRejected));
+      trace_(obs::EventKind::kSvcSubmit, r.id, req.priority);
+      trace_(obs::EventKind::kSvcReject, r.id,
+             static_cast<u64>(Status::kRejected));
       return Status::kRejected;
     }
     ++stats_.shed;
-    trace(obs::EventKind::kSvcShed, victim->id, victim->req.priority);
+    trace_(obs::EventKind::kSvcShed, victim->id, victim->req.priority);
     finish(*victim, RequestState::kShed, Status::kRejected);
   }
 
   RequestRecord& r = make_record(RequestState::kQueued, Status::kOk);
   ++stats_.accepted;
   intent(IntentOp::kSvcPending, r);
-  trace(obs::EventKind::kSvcSubmit, r.id, req.priority);
-  trace(obs::EventKind::kSvcAdmit, r.id, queue_depth());
+  trace_(obs::EventKind::kSvcSubmit, r.id, req.priority);
+  trace_(obs::EventKind::kSvcAdmit, r.id, queue_depth());
   return Status::kOk;
 }
 
@@ -210,7 +204,7 @@ Status ReconfigService::cancel(RequestId id) {
   if (r->state == RequestState::kActive) return Status::kDeviceBusy;
   if (r->state != RequestState::kQueued) return Status::kInvalidArgument;
   ++stats_.cancelled;
-  trace(obs::EventKind::kSvcCancel, r->id);
+  trace_(obs::EventKind::kSvcCancel, r->id);
   finish(*r, RequestState::kCancelled, Status::kCancelled);
   return Status::kOk;
 }
@@ -247,7 +241,7 @@ bool ReconfigService::step() {
   if (r->req.deadline_mtime != 0 && now > r->req.deadline_mtime) {
     // Expired while queued: skip without touching the hardware.
     ++stats_.deadline_missed;
-    trace(obs::EventKind::kSvcDeadlineMiss, r->id);
+    trace_(obs::EventKind::kSvcDeadlineMiss, r->id);
     finish(*r, RequestState::kDeadlineMissed, Status::kDeadlineMissed);
     return true;
   }
@@ -257,7 +251,7 @@ bool ReconfigService::step() {
   active_ = r->id;
   const u64 wait = now - r->submit_mtime;
   if (wait_ticks_ != nullptr) wait_ticks_->record(wait);
-  trace(obs::EventKind::kSvcDispatch, r->id, wait);
+  trace_(obs::EventKind::kSvcDispatch, r->id, wait);
 
   // The service doubles as the transfer watchdog for the dispatch.
   RvCapDriver& drv = mgr_.driver();
@@ -278,9 +272,9 @@ bool ReconfigService::step() {
   const u64 active = r->done_mtime - r->start_mtime;
   if (active_ticks_ != nullptr) active_ticks_->record(active);
   if (ok(s)) {
-    trace(obs::EventKind::kSvcComplete, r->id, active);
+    trace_(obs::EventKind::kSvcComplete, r->id, active);
   } else {
-    trace(obs::EventKind::kSvcFail, r->id, static_cast<u64>(s), active);
+    trace_(obs::EventKind::kSvcFail, r->id, static_cast<u64>(s), active);
   }
   return true;
 }
@@ -307,8 +301,8 @@ bool ReconfigService::on_poll(const TransferProgress& p) {
   d.outstanding_beats = expected > p.beats ? expected - p.beats : 0;
   d.polls_without_progress = stall_.stalled_polls();
   hangs_.push_back(d);
-  trace(obs::EventKind::kSvcHang, active_, d.outstanding_beats,
-        d.polls_without_progress);
+  trace_(obs::EventKind::kSvcHang, active_, d.outstanding_beats,
+         d.polls_without_progress);
   log_warn("reconfig_service: watchdog hang, beats frozen at ", p.beats,
            " of ", expected);
   return false;

@@ -158,7 +158,6 @@ class ReconfigService : public ProgressMonitor {
   RequestRecord* best_queued();
   void finish(RequestRecord& r, RequestState state, Status status);
   Status preflight(const ActivationRequest& req);
-  void trace(obs::EventKind kind, u64 a0, u64 a1 = 0, u64 a2 = 0);
   void intent(IntentOp op, const RequestRecord& r);
 
   DprManager& mgr_;
@@ -174,8 +173,7 @@ class ReconfigService : public ProgressMonitor {
   StallTracker stall_;  // watchdog state for the in-flight transfer
 
   // Observability (bound to the CPU's simulator at construction).
-  obs::TraceSink* sink_ = nullptr;
-  u16 src_ = 0;
+  obs::TraceSource trace_;
   obs::Histogram* wait_ticks_ = nullptr;    // submit -> dispatch, mtime
   obs::Histogram* active_ticks_ = nullptr;  // dispatch -> terminal, mtime
 };

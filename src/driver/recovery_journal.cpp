@@ -122,7 +122,7 @@ Status RecoveryJournal::replay(ReplayReport* report) {
       records_.push_back(*decoded[c]);
     } else if (!blank[c] && !torn[c]) {
       ++rep.corrupt_records;
-      RVCAP_TRACE(sink_, obs::EventKind::kRecovJournalCorrupt, src_, now(), c);
+      trace_(obs::EventKind::kRecovJournalCorrupt, c);
     }
   }
   std::sort(records_.begin(), records_.end(),
@@ -131,8 +131,8 @@ Status RecoveryJournal::replay(ReplayReport* report) {
             });
   rep.valid_records = static_cast<u32>(records_.size());
   if (rep.torn_tail_cells != 0) {
-    RVCAP_TRACE(sink_, obs::EventKind::kRecovJournalTorn, src_, now(),
-                rep.max_seq, (max_seq_cell + 1) % cells);
+    trace_(obs::EventKind::kRecovJournalTorn, rep.max_seq,
+           (max_seq_cell + 1) % cells);
     log_warn("recovery_journal: truncated torn tail of ",
              rep.torn_tail_cells, " cell(s) after seq ", rep.max_seq);
   }
@@ -181,8 +181,8 @@ Status RecoveryJournal::append(IntentRecord rec) {
   ++next_seq_;
   next_cell_ = (next_cell_ + 1) % (cfg_.num_blocks * kRecordsPerBlock);
   records_.push_back(rec);
-  RVCAP_TRACE(sink_, obs::EventKind::kRecovJournalAppend, src_, now(), rec.seq,
-              static_cast<u64>(rec.op));
+  trace_(obs::EventKind::kRecovJournalAppend, rec.seq,
+         static_cast<u64>(rec.op));
   return Status::kOk;
 }
 

@@ -136,17 +136,12 @@ class RecoveryJournal {
   /// (journal.corrupt site) — models a latent medium error.
   void set_fault_injector(sim::FaultInjector* fi) { fault_ = fi; }
   /// Optional trace emission (Recovery track) for appends and replay.
-  void bind_trace(obs::TraceSink* sink, Cycles const* now) {
-    sink_ = sink;
-    now_ptr_ = now;
-    if (sink_ != nullptr) src_ = sink_->intern("recovery_journal");
-  }
+  void bind_trace(obs::TraceSource trace) { trace_ = trace; }
 
   u64 appends() const { return appends_; }
   u64 append_failures() const { return append_failures_; }
 
  private:
-  Cycles now() const { return now_ptr_ != nullptr ? *now_ptr_ : 0; }
   void encode(const IntentRecord& rec, std::span<u8> cell) const;
   static std::optional<IntentRecord> decode(std::span<const u8> cell);
 
@@ -159,9 +154,7 @@ class RecoveryJournal {
   u64 appends_ = 0;
   u64 append_failures_ = 0;
   sim::FaultInjector* fault_ = nullptr;
-  obs::TraceSink* sink_ = nullptr;
-  u16 src_ = 0;
-  Cycles const* now_ptr_ = nullptr;
+  obs::TraceSource trace_;
 };
 
 }  // namespace rvcap::driver

@@ -35,11 +35,8 @@ bool is_good_close(IntentOp op) {
 
 RecoveryManager::RecoveryManager(cpu::CpuContext& cpu,
                                  RecoveryJournal& journal)
-    : cpu_(cpu), journal_(journal) {
-  obs::Observability& o = cpu_.simulator().obs();
-  sink_ = &o.sink();
-  src_ = sink_->intern("recovery_manager");
-}
+    : cpu_(cpu), journal_(journal),
+      trace_(cpu.trace_source("recovery_manager")) {}
 
 void RecoveryManager::add_slot(u32 slot, DprManager* mgr,
                                ReconfigService* svc) {
@@ -51,22 +48,6 @@ const RecoveryManager::SlotBinding* RecoveryManager::binding(u32 slot) const {
     if (b.slot == slot) return &b;
   }
   return nullptr;
-}
-
-void RecoveryManager::trace(obs::EventKind kind, u64 a0, u64 a1, u64 a2) {
-  RVCAP_TRACE(sink_, kind, src_, cpu_.now(), a0, a1, a2);
-}
-
-RecoveryManager::PrecrashFailure RecoveryManager::decode_failure(
-    const IntentRecord& rec) {
-  PrecrashFailure f;
-  f.mtime = rec.mtime;
-  f.slot = rec.slot;
-  f.rm_id = rec.rm_id;
-  f.stage = static_cast<FailStage>(rec.arg0 >> 24);
-  f.status = static_cast<Status>((rec.arg0 >> 16) & 0xFF);
-  f.attempt = rec.arg0 & 0xFFFF;
-  return f;
 }
 
 void RecoveryManager::classify_slots(std::vector<SlotReport>* out) const {
@@ -188,7 +169,7 @@ void RecoveryManager::replay_pending(u64 crash_mtime, Report* rep) {
       if (b == nullptr || module.empty() || expired ||
           crash_looping(p.rm_id)) {
         ++rep->shed_requests;
-        trace(obs::EventKind::kRecovShed, p.rm_id);
+        trace_(obs::EventKind::kRecovShed, p.rm_id);
         continue;
       }
       ReconfigService::ActivationRequest req;
@@ -200,10 +181,10 @@ void RecoveryManager::replay_pending(u64 crash_mtime, Report* rep) {
       if (ok(b->svc->submit(req))) {
         b->svc->drain();
         ++rep->replayed_requests;
-        trace(obs::EventKind::kRecovReplay, p.rm_id, remaining);
+        trace_(obs::EventKind::kRecovReplay, p.rm_id, remaining);
       } else {
         ++rep->shed_requests;
-        trace(obs::EventKind::kRecovShed, p.rm_id);
+        trace_(obs::EventKind::kRecovShed, p.rm_id);
       }
     }
   }
@@ -225,7 +206,7 @@ Status RecoveryManager::recover(Report* out) {
     crash_mtime = std::max(crash_mtime, r.mtime);
     if (r.op == IntentOp::kBootMark) ++boot_marks;
     if (r.op == IntentOp::kFailureNote) {
-      rep.precrash_failures.push_back(decode_failure(r));
+      rep.precrash_failures.push_back(DprManager::decode_failure_note(r));
       ++failure_notes;
     }
   }
@@ -241,8 +222,8 @@ Status RecoveryManager::recover(Report* out) {
   for (const SlotReport& s : rep.slots) {
     if (s.verdict == SlotVerdict::kInterrupted) ++open_intents;
   }
-  trace(obs::EventKind::kRecovBootScan, rep.journal.valid_records,
-        open_intents);
+  trace_(obs::EventKind::kRecovBootScan, rep.journal.valid_records,
+         open_intents);
 
   IntentRecord boot;
   boot.op = IntentOp::kBootMark;
@@ -254,8 +235,8 @@ Status RecoveryManager::recover(Report* out) {
   // self-healing activate() path, quarantining crash-looping images.
   u32 verified_slots = 0;
   for (SlotReport& s : rep.slots) {
-    trace(obs::EventKind::kRecovSlotVerdict, s.slot,
-          static_cast<u64>(s.verdict));
+    trace_(obs::EventKind::kRecovSlotVerdict, s.slot,
+           static_cast<u64>(s.verdict));
     const SlotBinding* b = binding(s.slot);
     if (s.rm_id == 0 || b == nullptr) {
       // Nothing was (or should be) configured there: a blank slot is a
@@ -274,8 +255,8 @@ Status RecoveryManager::recover(Report* out) {
       q.mtime = b->mgr->driver().mtime();
       q.arg0 = kCrashLoopThreshold;
       (void)journal_.append(q);
-      trace(obs::EventKind::kRecovQuarantine, s.rm_id,
-            kCrashLoopThreshold);
+      trace_(obs::EventKind::kRecovQuarantine, s.rm_id,
+             kCrashLoopThreshold);
       // Deliberately-not-loaded is a safe, known state: the slot stays
       // blank instead of crash-looping the boot path.
       s.verified = true;
@@ -296,7 +277,7 @@ Status RecoveryManager::recover(Report* out) {
     if (s.verified) {
       ++rep.golden_reloads;
       ++verified_slots;
-      trace(obs::EventKind::kRecovGoldenReload, s.slot, s.rm_id);
+      trace_(obs::EventKind::kRecovGoldenReload, s.slot, s.rm_id);
     }
   }
   rep.all_verified = verified_slots == rep.slots.size();
@@ -312,8 +293,8 @@ Status RecoveryManager::recover(Report* out) {
   (void)journal_.append(done);
 
   rep.ready_cycles = cpu_.now() - start;
-  trace(obs::EventKind::kRecovReady, verified_slots, rep.quarantined,
-        rep.ready_cycles);
+  trace_(obs::EventKind::kRecovReady, verified_slots, rep.quarantined,
+         rep.ready_cycles);
   recovered_ = true;
   if (out != nullptr) *out = rep;
   return rep.all_verified ? Status::kOk : Status::kInternal;

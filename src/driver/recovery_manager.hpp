@@ -34,7 +34,7 @@
 #include "driver/dpr_manager.hpp"
 #include "driver/reconfig_service.hpp"
 #include "driver/recovery_journal.hpp"
-#include "obs/observability.hpp"
+#include "obs/trace.hpp"
 
 namespace rvcap::cpu {
 class CpuContext;
@@ -58,16 +58,6 @@ class RecoveryManager {
     kUnknown,      // no journal records target this slot
   };
 
-  /// One decoded pre-crash kFailureNote (mirrored DprManager entry).
-  struct PrecrashFailure {
-    u64 mtime = 0;
-    u32 slot = 0;
-    u32 rm_id = 0;
-    FailStage stage{};
-    Status status{};
-    u32 attempt = 0;
-  };
-
   struct SlotReport {
     u32 slot = 0;
     SlotVerdict verdict = SlotVerdict::kUnknown;
@@ -87,7 +77,8 @@ class RecoveryManager {
     u32 shed_requests = 0;         // pending requests past deadline
     bool all_verified = false;
     u64 ready_cycles = 0;          // recover() entry -> done, core cycles
-    std::vector<PrecrashFailure> precrash_failures;
+    /// Decoded pre-crash kFailureNotes, oldest first.
+    std::vector<DprManager::JournalEntry> precrash_failures;
   };
 
   RecoveryManager(cpu::CpuContext& cpu, RecoveryJournal& journal);
@@ -103,9 +94,6 @@ class RecoveryManager {
 
   const Report& report() const { return report_; }
 
-  /// Unpack a kFailureNote payload (stage<<24 | status<<16 | attempt).
-  static PrecrashFailure decode_failure(const IntentRecord& rec);
-
  private:
   struct SlotBinding {
     u32 slot = 0;
@@ -117,7 +105,6 @@ class RecoveryManager {
   void classify_slots(std::vector<SlotReport>* out) const;
   bool crash_looping(u32 rm_id) const;
   void replay_pending(u64 crash_mtime, Report* rep);
-  void trace(obs::EventKind kind, u64 a0, u64 a1 = 0, u64 a2 = 0);
 
   cpu::CpuContext& cpu_;
   RecoveryJournal& journal_;
@@ -130,8 +117,7 @@ class RecoveryManager {
   // consecutive-crash count).
   usize scan_len_ = 0;
 
-  obs::TraceSink* sink_ = nullptr;
-  u16 src_ = 0;
+  obs::TraceSource trace_;
 };
 
 }  // namespace rvcap::driver

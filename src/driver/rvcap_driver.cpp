@@ -75,10 +75,6 @@ void RvCapDriver::select_rm_slot(u32 slot) {
   cpu_.store32_uncached(rp_addr(RpControl::kRmSelect), slot);
 }
 
-u32 RvCapDriver::selected_rm_slot() {
-  return cpu_.load32_uncached(rp_addr(RpControl::kRmSelect));
-}
-
 void RvCapDriver::select_decompress(bool enable) {
   const u32 cur = cpu_.load32_uncached(rp_addr(RpControl::kControl));
   const u32 next = enable ? (cur | RpControl::kCtlDecompress)

@@ -108,7 +108,6 @@ class RvCapDriver {
   /// Route the acceleration stream pair to `slot`'s RM port (the
   /// global kRmSelect register; independent of the window binding).
   void select_rm_slot(u32 slot);
-  u32 selected_rm_slot();
 
   /// Listing-1 flow for an RVZ0-compressed bitstream (RT-ICAP-style
   /// extension): enables the inline decompressor for the transfer.

@@ -13,11 +13,10 @@ using fabric::kFrameWords;
 
 ScrubService::ScrubService(RvCapDriver& drv, fabric::ConfigMemory& mem,
                            ReconfigService& svc, const Config& cfg)
-    : drv_(drv), mem_(mem), svc_(svc), cfg_(cfg) {
+    : drv_(drv), mem_(mem), svc_(svc), cfg_(cfg),
+      trace_(drv.cpu_context().trace_source("scrub_service")) {
   if (cfg_.frames_per_slice == 0) cfg_.frames_per_slice = 1;
   obs::Observability& o = drv_.cpu_context().simulator().obs();
-  sink_ = &o.sink();
-  src_ = sink_->intern("scrub_service");
   obs::CounterRegistry& c = o.counters();
   c.register_fn("scrub.passes", [this] { return stats_.passes; });
   c.register_fn("scrub.frames", [this] { return stats_.frames_scrubbed; });
@@ -27,10 +26,6 @@ ScrubService::ScrubService(RvCapDriver& drv, fabric::ConfigMemory& mem,
   c.register_fn("scrub.pending", [this] { return pending_upsets(); });
   mttd_cycles_ = c.histogram("scrub.mttd_cycles");
   mttr_cycles_ = c.histogram("scrub.mttr_cycles");
-}
-
-void ScrubService::trace(obs::EventKind kind, u64 a0, u64 a1, u64 a2) {
-  RVCAP_TRACE(sink_, kind, src_, drv_.cpu_context().now(), a0, a1, a2);
 }
 
 void ScrubService::watch_partition(usize handle, std::string module) {
@@ -62,8 +57,8 @@ void ScrubService::note_upset(const fabric::ConfigMemory::UpsetEvent& ev,
   // Upsets on frames outside any loaded partition are still scrubbed
   // (the frame was written at some point), so track every landed one.
   pending_.push_back({ev.fa.encode(), now_cycles, 0, ev.essential});
-  trace(obs::EventKind::kScrubUpset, ev.fa.encode(),
-        (u64{ev.word} << 8) | ev.bit);
+  trace_(obs::EventKind::kScrubUpset, ev.fa.encode(),
+         (u64{ev.word} << 8) | ev.bit);
 }
 
 u64 ScrubService::pending_essential() const {
@@ -263,7 +258,7 @@ Status ScrubService::scrub_frame(const Watch& w) {
   }
 
   ++stats_.detections;
-  trace(obs::EventKind::kScrubDetect, fa.encode(), static_cast<u64>(d.cls));
+  trace_(obs::EventKind::kScrubDetect, fa.encode(), static_cast<u64>(d.cls));
   mark_detected(fa.encode(), now());
   const auto ps = mem_.partition_state(w.handle);
 
@@ -292,7 +287,7 @@ Status ScrubService::scrub_frame(const Watch& w) {
       }
       if (ok(st)) {
         ++stats_.frame_rewrites;
-        trace(obs::EventKind::kScrubRewrite, fa.encode());
+        trace_(obs::EventKind::kScrubRewrite, fa.encode());
         record(now(), fa, d.cls, Action::kRewrite, d.word, d.bit, essential);
         resolve_repaired(fa.encode(), now());
         return Status::kOk;
@@ -305,7 +300,7 @@ Status ScrubService::scrub_frame(const Watch& w) {
     ++stats_.uncorrectable;
   }
 
-  trace(obs::EventKind::kScrubReload, fa.encode());
+  trace_(obs::EventKind::kScrubReload, fa.encode());
   record(now(), fa, d.cls, Action::kReload, d.word, d.bit, false);
   return escalate_reload(w);
 }
@@ -316,7 +311,7 @@ void ScrubService::finish_pass() {
   const u64 frames = addrs_[cur_watch_].size();
   stats_.last_pass_frames_per_sec =
       elapsed == 0 ? 0 : frames * kCoreClockHz / elapsed;
-  trace(obs::EventKind::kScrubPass, stats_.passes, frames, elapsed);
+  trace_(obs::EventKind::kScrubPass, stats_.passes, frames, elapsed);
   cur_frame_ = 0;
   cur_watch_ = (cur_watch_ + 1) % watches_.size();
   raise_done();

@@ -185,7 +185,6 @@ class ScrubService {
   void record(u64 at, const fabric::FrameAddr& fa, fabric::EccClass cls,
               Action action, u32 word, u32 bit, bool essential);
   void intent(IntentOp op, const Watch& w);
-  void trace(obs::EventKind kind, u64 a0, u64 a1 = 0, u64 a2 = 0);
   void mark_detected(u32 far, u64 t);
   void resolve_repaired(u32 far, u64 t);
   void resolve_partition(usize handle, u64 t);
@@ -208,8 +207,7 @@ class ScrubService {
   u64 pass_start_ = 0;  // cycle the current pass began
 
   // Observability (bound to the CPU's simulator at construction).
-  obs::TraceSink* sink_ = nullptr;
-  u16 src_ = 0;
+  obs::TraceSource trace_;
   obs::Histogram* mttd_cycles_ = nullptr;  // inject -> syndrome hit
   obs::Histogram* mttr_cycles_ = nullptr;  // inject -> fabric clean
 };

@@ -12,20 +12,15 @@
 namespace rvcap::driver {
 
 SlotScheduler::SlotScheduler(RvCapDriver& drv, const Config& cfg)
-    : drv_(drv), cfg_(cfg) {
+    : drv_(drv), cfg_(cfg),
+      trace_(drv.cpu_context().trace_source("slot_scheduler")) {
   area_used_.assign(cfg_.capture_areas, false);
   obs::Observability& o = drv_.cpu_context().simulator().obs();
-  sink_ = &o.sink();
-  src_ = sink_->intern("slot_scheduler");
   obs::CounterRegistry& c = o.counters();
   c.register_fn("slots.completed", [this] { return stats_.completed; });
   c.register_fn("slots.preemptions", [this] { return stats_.preemptions; });
   c.register_fn("slots.rollbacks", [this] { return stats_.rollbacks; });
   c.register_fn("slots.swap_hangs", [this] { return stats_.swap_hangs; });
-}
-
-void SlotScheduler::trace(obs::EventKind kind, u64 a0, u64 a1, u64 a2) {
-  RVCAP_TRACE(sink_, kind, src_, drv_.cpu_context().now(), a0, a1, a2);
 }
 
 u32 SlotScheduler::add_slot(const SlotBinding& b) {
@@ -35,8 +30,14 @@ u32 SlotScheduler::add_slot(const SlotBinding& b) {
   assert(cfg_.capture_arena != 0 && cfg_.restore_staging != 0 &&
          "capture arena and restore staging must be configured");
   slots_.push_back(b);
-  resident_.push_back(0);
   return b.slot_id;
+}
+
+SlotScheduler::TaskId SlotScheduler::resident(u32 slot) const {
+  if (slot >= slots_.size()) return 0;
+  const fabric::FabricAllocator& alloc = engine_->allocator();
+  return alloc.state(slot) == fabric::RegionState::kBusy ? alloc.owner(slot)
+                                                          : 0;
 }
 
 SlotScheduler::TaskRecord* SlotScheduler::find(TaskId id) {
@@ -81,10 +82,7 @@ void SlotScheduler::finish(TaskRecord& t, TaskState state, Status status) {
   t.status = status;
   t.done_mtime = drv_.mtime();
   release_area(t);
-  if (t.slot != kNoSlot && t.slot < resident_.size() &&
-      resident_[t.slot] == t.id) {
-    resident_[t.slot] = 0;
-  }
+  if (resident(t.slot) == t.id) engine_->allocator().release(t.slot);
 }
 
 u32 SlotScheduler::claim_area() {
@@ -143,7 +141,7 @@ Status SlotScheduler::submit(const HwTask& task, TaskId* id) {
     }
     if (victim != nullptr && u64{task.priority} > eff_priority(*victim, now)) {
       ++stats_.sheds;
-      trace(obs::EventKind::kSlotShed, victim->id, victim->task.priority);
+      trace_(obs::EventKind::kSlotShed, victim->id, victim->task.priority);
       journal_event(SwapEvent::Kind::kShed, 0, *victim, Status::kRejected);
       finish(*victim, TaskState::kShed, Status::kRejected);
     } else {
@@ -153,7 +151,7 @@ Status SlotScheduler::submit(const HwTask& task, TaskId* id) {
       r.task = task;
       r.submit_mtime = now;
       r.last_progress_mtime = now;
-      trace(obs::EventKind::kSlotShed, r.id, task.priority);
+      trace_(obs::EventKind::kSlotShed, r.id, task.priority);
       journal_event(SwapEvent::Kind::kShed, 0, r, Status::kRejected);
       r.state = TaskState::kShed;
       r.status = Status::kRejected;
@@ -224,8 +222,8 @@ SlotScheduler::TaskRecord* SlotScheduler::pick_best(u64 now) {
 
 SlotScheduler::TaskRecord* SlotScheduler::best_resident(u64 now) {
   TaskRecord* best = nullptr;
-  for (TaskId id : resident_) {
-    TaskRecord* t = find(id);
+  for (u32 s = 0; s < slots_.size(); ++s) {
+    TaskRecord* t = find(resident(s));
     if (t == nullptr || t->state != TaskState::kRunning) continue;
     if (best == nullptr || eff_priority(*t, now) > eff_priority(*best, now)) {
       best = t;
@@ -263,7 +261,7 @@ Status SlotScheduler::capture(TaskRecord& victim) {
     drv_.decouple_accel(false);
     if (st == Status::kHang) {
       ++stats_.swap_hangs;
-      trace(obs::EventKind::kSlotSwapHang, victim.id, s);
+      trace_(obs::EventKind::kSlotSwapHang, victim.id, s);
       journal_event(SwapEvent::Kind::kSwapHang, s, victim, st);
     }
     return st;
@@ -295,12 +293,12 @@ Status SlotScheduler::capture(TaskRecord& victim) {
 
   victim.state = TaskState::kPreempted;
   ++victim.preemptions;
-  resident_[s] = 0;
+  engine_->allocator().release(s);
   ++stats_.preemptions;
   ++stats_.captures;
-  trace(obs::EventKind::kSlotPreempt, victim.id, s);
-  trace(obs::EventKind::kSlotCapture, victim.id, words,
-        drv_.last_timing().reconfig_ticks);
+  trace_(obs::EventKind::kSlotPreempt, victim.id, s);
+  trace_(obs::EventKind::kSlotCapture, victim.id, words,
+         drv_.last_timing().reconfig_ticks);
   journal_event(SwapEvent::Kind::kCapture, s, victim, Status::kOk);
   intent(IntentOp::kSlotCaptureDone, s, victim.task.rm_id, victim.id);
   return Status::kOk;
@@ -338,16 +336,17 @@ Status SlotScheduler::swap_in(TaskRecord& t, u32 slot) {
   }
   if (b.service->stats().hangs > hangs_before) {
     ++stats_.swap_hangs;
-    trace(obs::EventKind::kSlotSwapHang, t.id, slot);
+    trace_(obs::EventKind::kSlotSwapHang, t.id, slot);
     journal_event(SwapEvent::Kind::kSwapHang, slot, t, Status::kHang);
   }
   if (!ok(st)) return st;
 
   settle();
   t.slot = slot;
-  resident_[slot] = t.id;
+  // A rollback reloads the slot its task already holds.
+  if (resident(slot) != t.id) engine_->allocator().acquire(slot, t.id);
   if (t.start_mtime == 0) t.start_mtime = drv_.mtime();
-  trace(obs::EventKind::kSlotPlace, t.id, slot);
+  trace_(obs::EventKind::kSlotPlace, t.id, slot);
   return Status::kOk;
 }
 
@@ -364,7 +363,7 @@ void SlotScheduler::rollback(TaskRecord& t, SwapEvent::Kind reason,
   ++stats_.rollbacks;
   ++t.rollbacks;
   const u32 s = t.slot;
-  trace(obs::EventKind::kSlotRollback, t.id, static_cast<u64>(reason));
+  trace_(obs::EventKind::kSlotRollback, t.id, static_cast<u64>(reason));
   journal_event(reason, s, t, cause);
   release_area(t);
 
@@ -449,7 +448,7 @@ void SlotScheduler::restore(TaskRecord& t) {
     drv_.cleanup_after_failure();
     if (st == Status::kHang) {
       ++stats_.swap_hangs;
-      trace(obs::EventKind::kSlotSwapHang, t.id, s);
+      trace_(obs::EventKind::kSlotSwapHang, t.id, s);
       journal_event(SwapEvent::Kind::kSwapHang, s, t, st);
     }
     rollback(t, SwapEvent::Kind::kRollbackTransfer, st);
@@ -472,11 +471,11 @@ void SlotScheduler::restore(TaskRecord& t) {
 
   release_area(t);
   t.state = TaskState::kRunning;
-  resident_[s] = t.id;
+  engine_->allocator().acquire(s, t.id);
   ++stats_.restores;
-  trace(obs::EventKind::kSlotRestore, t.id, s,
-        drv_.last_timing().reconfig_ticks);
-  trace(obs::EventKind::kSlotResume, t.id, s);
+  trace_(obs::EventKind::kSlotRestore, t.id, s,
+         drv_.last_timing().reconfig_ticks);
+  trace_(obs::EventKind::kSlotResume, t.id, s);
   journal_event(SwapEvent::Kind::kRestore, s, t, Status::kOk);
   intent(IntentOp::kSlotRestoreDone, s, t.task.rm_id, t.id);
 }
@@ -505,10 +504,7 @@ Status SlotScheduler::prepare_slot(TaskRecord& t, u32 slot) {
 }
 
 bool SlotScheduler::ensure_resident(TaskRecord& t, u64 now) {
-  if (t.state == TaskState::kRunning && t.slot != kNoSlot &&
-      resident_[t.slot] == t.id) {
-    return true;
-  }
+  if (t.state == TaskState::kRunning && resident(t.slot) == t.id) return true;
 
   if (t.state == TaskState::kPreempted) {
     // The capture image is rebuilt against whatever compatible
@@ -517,9 +513,9 @@ bool SlotScheduler::ensure_resident(TaskRecord& t, u64 now) {
     // migrate to any free eligible slot that no equal-or-higher-priority
     // parked task owns.
     u32 dest = t.slot;
-    if (find(resident_[dest]) != nullptr || region_reserved(dest)) {
+    if (find(resident(dest)) != nullptr || region_reserved(dest)) {
       for (u32 s = 0; s < slots_.size(); ++s) {
-        if (s == dest || find(resident_[s]) != nullptr) continue;
+        if (s == dest || find(resident(s)) != nullptr) continue;
         if (!slot_eligible(s, t)) continue;
         bool parked_owner = false;
         for (const TaskRecord& p : tasks_) {
@@ -535,7 +531,7 @@ bool SlotScheduler::ensure_resident(TaskRecord& t, u64 now) {
       }
     }
     if (region_reserved(dest)) return false;
-    TaskRecord* res = find(resident_[dest]);
+    TaskRecord* res = find(resident(dest));
     if (res != nullptr) {
       if (eff_priority(t, now) <= eff_priority(*res, now)) return false;
       if (!ok(capture(*res))) return false;
@@ -555,7 +551,7 @@ bool SlotScheduler::ensure_resident(TaskRecord& t, u64 now) {
   TaskRecord* victim = nullptr;
   for (u32 s = 0; s < slots_.size(); ++s) {
     if (!slot_eligible(s, t)) continue;
-    TaskRecord* res = find(resident_[s]);
+    TaskRecord* res = find(resident(s));
     if (res == nullptr) {
       // Vacant — but a preempted task parked on this slot owns it for
       // its eventual restore unless we outrank it.
@@ -624,8 +620,8 @@ void SlotScheduler::run_chunk(TaskRecord& t) {
     if (t.task.deadline_mtime != 0 && drv_.mtime() > t.task.deadline_mtime) {
       ++stats_.late_completions;
     }
-    trace(obs::EventKind::kSlotComplete, t.id, s,
-          drv_.mtime() - t.start_mtime);
+    trace_(obs::EventKind::kSlotComplete, t.id, s,
+           drv_.mtime() - t.start_mtime);
     journal_event(SwapEvent::Kind::kComplete, s, t, Status::kOk);
     finish(t, TaskState::kCompleted, Status::kOk);
   }
@@ -675,33 +671,15 @@ usize SlotScheduler::drain() {
   return n;
 }
 
-void SlotScheduler::sync_allocator() {
-  fabric::FabricAllocator& alloc = engine_->allocator();
-  for (u32 r = 0; r < slots_.size(); ++r) {
-    if (alloc.state(r) == fabric::RegionState::kReserved) continue;
-    const TaskId id = resident_[r];
-    if (id != 0) {
-      if (alloc.state(r) == fabric::RegionState::kFree) {
-        alloc.acquire(r, id);
-      } else if (alloc.owner(r) != id) {
-        alloc.release(r);
-        alloc.acquire(r, id);
-      }
-    } else if (alloc.state(r) == fabric::RegionState::kBusy) {
-      alloc.release(r);
-    }
-  }
-}
-
 Status SlotScheduler::migrate_region(u32 from_slot, u32 to_slot) {
   if (from_slot >= slots_.size() || to_slot >= slots_.size()) {
     return Status::kInvalidArgument;
   }
-  TaskRecord* t = find(resident_[from_slot]);
+  TaskRecord* t = find(resident(from_slot));
   if (t == nullptr || t->state != TaskState::kRunning) {
     return Status::kNotFound;
   }
-  if (find(resident_[to_slot]) != nullptr || region_reserved(to_slot)) {
+  if (find(resident(to_slot)) != nullptr || region_reserved(to_slot)) {
     return Status::kDeviceBusy;
   }
   // The capture alone clears the source window — that is what the
@@ -722,8 +700,6 @@ Status SlotScheduler::migrate_region(u32 from_slot, u32 to_slot) {
 Status SlotScheduler::acquire_span(u32 class_id, u32 len, bool allow_compaction,
                                    std::vector<u32>* regions) {
   fabric::FabricAllocator& alloc = engine_->allocator();
-  sync_allocator();
-
   auto grant = [&](const std::vector<u32>& span) {
     for (u32 r : span) alloc.reserve(r, ~u64{0});
     engine_->note_span_grant(class_id, span.front(),
@@ -754,7 +730,6 @@ Status SlotScheduler::acquire_span(u32 class_id, u32 len, bool allow_compaction,
     }
   }
   engine_->note_compaction(class_id, plan->size(), len);
-  sync_allocator();
   if (auto span = alloc.find_free_span(class_id, len)) return grant(*span);
   engine_->note_span_reject(class_id);
   return Status::kNoSpace;
@@ -776,7 +751,7 @@ Status SlotScheduler::release_span(std::span<const u32> regions) {
 
 Status SlotScheduler::preempt_slot(u32 slot) {
   if (slot >= slots_.size()) return Status::kInvalidArgument;
-  TaskRecord* t = find(resident_[slot]);
+  TaskRecord* t = find(resident(slot));
   if (t == nullptr || t->state != TaskState::kRunning) {
     return Status::kNotFound;
   }

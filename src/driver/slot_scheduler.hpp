@@ -199,8 +199,9 @@ class SlotScheduler : public ProgressMonitor {
 
   /// Attach the relocation-aware placement engine over the SoC's
   /// allocator (region id == slot id). Required before submit(): any
-  /// free compatible region hosts a task, and a relocated variant is
-  /// materialized + registered on first landing.
+  /// free compatible region hosts a task, a relocated variant is
+  /// materialized + registered on first landing, and the allocator
+  /// records which task is resident in each slot.
   void attach_placement(PlacementEngine* engine) { engine_ = engine; }
 
   /// Wide-footprint serving: reserve `len` pairwise-adjacent free
@@ -211,10 +212,6 @@ class SlotScheduler : public ProgressMonitor {
   Status acquire_span(u32 class_id, u32 len, bool allow_compaction,
                       std::vector<u32>* regions);
   Status release_span(std::span<const u32> regions);
-
-  /// Re-derive allocator free/busy state from slot residency (span and
-  /// telemetry refresh; reservations are never touched).
-  void sync_allocator();
 
   /// Admission. At saturation the lowest-effective-priority queued
   /// entry is shed iff the arrival strictly outranks it; otherwise the
@@ -233,9 +230,9 @@ class SlotScheduler : public ProgressMonitor {
   /// injection). kNotFound when the slot has no resident.
   Status preempt_slot(u32 slot);
 
-  TaskId resident(u32 slot) const {
-    return slot < resident_.size() ? resident_[slot] : 0;
-  }
+  /// The task resident in `slot`: its region's owner while the region
+  /// is kBusy, else 0. The allocator is the one residency record.
+  TaskId resident(u32 slot) const;
   const TaskRecord* task(TaskId id) const;
   const std::vector<TaskRecord>& tasks() const { return tasks_; }
 
@@ -287,7 +284,6 @@ class SlotScheduler : public ProgressMonitor {
   void journal_event(SwapEvent::Kind kind, u32 slot, const TaskRecord& t,
                      Status status);
   void settle();
-  void trace(obs::EventKind kind, u64 a0, u64 a1 = 0, u64 a2 = 0);
   void intent(IntentOp op, u32 slot, u32 rm_id, u32 arg0 = 0);
 
   RvCapDriver& drv_;
@@ -296,7 +292,6 @@ class SlotScheduler : public ProgressMonitor {
   RecoveryJournal* intent_ = nullptr;
   PlacementEngine* engine_ = nullptr;
   std::vector<SlotBinding> slots_;
-  std::vector<TaskId> resident_;      // 0 = vacant
   std::vector<bool> area_used_;
   std::vector<TaskRecord> tasks_;     // append-only; id = index + 1
   BoundedRing<SwapEvent, kJournalCapacity> journal_;
@@ -304,8 +299,7 @@ class SlotScheduler : public ProgressMonitor {
   StallTracker stall_;  // watchdog state for the in-flight swap transfer
 
   // Observability.
-  obs::TraceSink* sink_ = nullptr;
-  u16 src_ = 0;
+  obs::TraceSource trace_;
 };
 
 }  // namespace rvcap::driver

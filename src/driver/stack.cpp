@@ -38,7 +38,7 @@ Stack::Stack(soc::ArianeSoc& soc, const Parts& parts, sim::FaultInjector* fi,
     }
     journal_ = std::make_unique<RecoveryJournal>(*block_io_, *parts.journal);
     journal_->set_fault_injector(fi);
-    journal_->bind_trace(&soc.sim().obs().sink(), soc.sim().now_ptr());
+    journal_->bind_trace(soc.cpu().trace_source("recovery_journal"));
   }
   if (parts.cache) {
     BitstreamCache::Config cc = *parts.cache;

@@ -11,10 +11,9 @@ namespace rvcap::net {
 using Op = NetFrame::Op;
 
 NetFetcher::NetFetcher(cpu::CpuContext& cpu, NetLink& link, Config cfg)
-    : cpu_(cpu), link_(link), cfg_(cfg) {
+    : cpu_(cpu), link_(link), cfg_(cfg),
+      trace_(cpu.trace_source("net_fetcher")) {
   obs::Observability& o = cpu_.simulator().obs();
-  sink_ = &o.sink();
-  src_ = sink_->intern("net_fetcher");
   obs::CounterRegistry& c = o.counters();
   c.register_fn("net.fetch.ok", [this] { return fetches_ok_; });
   c.register_fn("net.fetch.fail", [this] { return fetches_failed_; });
@@ -54,8 +53,7 @@ void NetFetcher::note_result(std::string_view image, Status s) {
     consecutive_failures_ = 0;
     if (open_) {
       open_ = false;
-      RVCAP_TRACE(sink_, obs::EventKind::kNetBreakerClose, src_,
-                  cpu_.now(), 0, 0, 0);
+      trace_(obs::EventKind::kNetBreakerClose);
     }
     return;
   }
@@ -64,8 +62,7 @@ void NetFetcher::note_result(std::string_view image, Status s) {
     open_ = true;
     open_until_ = cpu_.now() + cfg_.breaker_cooldown;
     ++breaker_trips_;
-    RVCAP_TRACE(sink_, obs::EventKind::kNetBreakerOpen, src_, cpu_.now(),
-                consecutive_failures_, 0, 0);
+    trace_(obs::EventKind::kNetBreakerOpen, consecutive_failures_);
   }
 }
 
@@ -102,8 +99,7 @@ Status NetFetcher::fetch_chunk(std::string_view image, u32 chunk, Addr dest,
   while (sched.next()) {
     if (sched.attempt() > 1) {
       ++chunk_retries_;
-      RVCAP_TRACE(sink_, obs::EventKind::kNetRetry, src_, cpu_.now(), chunk,
-                  sched.attempt(), sched.delay());
+      trace_(obs::EventKind::kNetRetry, chunk, sched.attempt(), sched.delay());
       if (sched.delay() > 0) {
         backoff_hist_->record(sched.delay());
         cpu_.simulator().run_cycles(sched.delay());
@@ -162,15 +158,14 @@ Status NetFetcher::fetch_chunk(std::string_view image, u32 chunk, Addr dest,
 Status NetFetcher::fetch(std::string_view image, Addr dest, u32 capacity,
                          u32* bytes_out) {
   if (bytes_out != nullptr) *bytes_out = 0;
-  if (breaker_open()) {
-    ++breaker_fast_fails_;
-    RVCAP_TRACE(sink_, obs::EventKind::kNetFetchFail, src_, cpu_.now(),
-                image_id(image),
-                static_cast<u64>(Status::kUnavailable), 0);
-    return Status::kUnavailable;
-  }
   const Cycles t0 = cpu_.now();
   const u16 id = image_id(image);
+  if (breaker_open()) {
+    ++breaker_fast_fails_;
+    trace_(obs::EventKind::kNetFetchFail, id,
+           static_cast<u64>(Status::kUnavailable));
+    return Status::kUnavailable;
+  }
 
   auto [it, inserted] = partial_.try_emplace(std::string(image));
   Partial& p = it->second;
@@ -182,8 +177,7 @@ Status NetFetcher::fetch(std::string_view image, Addr dest, u32 capacity,
     p = Partial{};
     p.dest = dest;
   }
-  RVCAP_TRACE(sink_, obs::EventKind::kNetFetchStart, src_, t0, id,
-              p.total_chunks, 0);
+  trace_(obs::EventKind::kNetFetchStart, id, p.total_chunks);
 
   Status st = Status::kOk;
   while (true) {
@@ -198,8 +192,7 @@ Status NetFetcher::fetch(std::string_view image, Addr dest, u32 capacity,
     ++fetches_ok_;
     if (bytes_out != nullptr) *bytes_out = bytes;
     fetch_hist_->record(cpu_.now() - t0);
-    RVCAP_TRACE(sink_, obs::EventKind::kNetFetchDone, src_, cpu_.now(), id,
-                bytes, cpu_.now() - t0);
+    trace_(obs::EventKind::kNetFetchDone, id, bytes, cpu_.now() - t0);
     return Status::kOk;
   }
   // Keep resume state only for transport failures; definitive answers
@@ -209,8 +202,7 @@ Status NetFetcher::fetch(std::string_view image, Addr dest, u32 capacity,
     partial_.erase(it);
   }
   ++fetches_failed_;
-  RVCAP_TRACE(sink_, obs::EventKind::kNetFetchFail, src_, cpu_.now(), id,
-              static_cast<u64>(st), 0);
+  trace_(obs::EventKind::kNetFetchFail, id, static_cast<u64>(st));
   return st;
 }
 

@@ -100,8 +100,7 @@ class NetFetcher {
   bool open_ = false;
   Cycles open_until_ = 0;
 
-  obs::TraceSink* sink_ = nullptr;
-  u16 src_ = 0;
+  obs::TraceSource trace_;
   obs::Histogram* fetch_hist_ = nullptr;
   obs::Histogram* chunk_hist_ = nullptr;
   obs::Histogram* backoff_hist_ = nullptr;

@@ -253,6 +253,31 @@ constexpr bool trace_compiled_in() {
 #endif
 }
 
+/// A driver-side emitter: one sink, one interned source id and the
+/// clock that stamps its events. Components get the same binding from
+/// Simulator::add(); driver services, which are not Components, hold
+/// one of these (cpu::CpuContext::trace_source() builds it). A
+/// default-constructed source emits nothing. Unlike RVCAP_TRACE, the
+/// arguments are evaluated even when tracing is off, so the per-beat
+/// component sites keep the macro.
+class TraceSource {
+ public:
+  TraceSource() = default;
+  TraceSource(TraceSink& sink, std::string_view name, const Cycles* now)
+      : sink_(&sink), src_(sink.intern(name)), now_(now) {}
+
+  void operator()(EventKind kind, u64 a0 = 0, u64 a1 = 0, u64 a2 = 0) const {
+    if (trace_compiled_in() && sink_ != nullptr && sink_->enabled()) {
+      sink_->emit(kind, src_, *now_, a0, a1, a2);
+    }
+  }
+
+ private:
+  TraceSink* sink_ = nullptr;
+  u16 src_ = 0;
+  const Cycles* now_ = nullptr;
+};
+
 }  // namespace rvcap::obs
 
 // Emission macro: evaluates its arguments only when the sink exists

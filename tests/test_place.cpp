@@ -401,6 +401,44 @@ TEST(PlaceServing, HomeRegionServesTheGoldenSourceDirectly) {
   EXPECT_FALSE(w.engine->can_place("cipher", 99));
 }
 
+TEST(PlaceServing, AllocatorTracksResidencyAtEveryStep) {
+  // The allocator is the scheduler's one residency record: through
+  // placements, forced preemptions, restores and completions, a region
+  // is kBusy exactly while a running task occupies its slot.
+  PlaceWorld w(2);
+  const FabricAllocator& alloc = w.soc.allocator();
+  SlotScheduler::TaskId ids[3] = {};
+  for (u32 i = 0; i < 3; ++i) {
+    ASSERT_EQ(w.sched->submit(
+                  w.cipher_task(0xA110C + i, 6 * 512, 1,
+                                kDataBase + i * 0x20000,
+                                kDataBase + i * 0x20000 + 0x10000, 1000 + i),
+                  &ids[i]),
+              Status::kOk);
+  }
+  u32 steps = 0;
+  while (w.sched->step()) {
+    ++steps;
+    if (steps % 3 == 0) w.sched->preempt_slot(steps % 2);
+    for (u32 s = 0; s < 2; ++s) {
+      const SlotScheduler::TaskId r = w.sched->resident(s);
+      EXPECT_EQ(alloc.state(s) == RegionState::kBusy, r != 0)
+          << "step " << steps << " slot " << s;
+      EXPECT_EQ(alloc.owner(s), r) << "step " << steps << " slot " << s;
+    }
+    for (const SlotScheduler::TaskRecord& t : w.sched->tasks()) {
+      if (t.state != TaskState::kRunning) continue;
+      EXPECT_EQ(alloc.state(t.slot), RegionState::kBusy) << "task " << t.id;
+      EXPECT_EQ(alloc.owner(t.slot), t.id) << "task " << t.id;
+    }
+  }
+  EXPECT_GE(w.sched->stats().preemptions, 1u);
+  for (u32 i = 0; i < 3; ++i) {
+    EXPECT_EQ(w.sched->task(ids[i])->state, TaskState::kCompleted) << i;
+  }
+  for (u32 s = 0; s < 2; ++s) EXPECT_EQ(alloc.state(s), RegionState::kFree);
+}
+
 // ---------------------------------------------------------------------
 // Migration and compaction through the scheduler
 // ---------------------------------------------------------------------

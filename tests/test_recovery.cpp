@@ -733,7 +733,7 @@ TEST(RecoveryIntegration, FailureJournalMirrorsIntoPersistentJournal) {
   for (const IntentRecord& r : b.journal.records()) {
     if (r.op != IntentOp::kFailureNote) continue;
     ++notes;
-    const auto f = RecoveryManager::decode_failure(r);
+    const auto f = DprManager::decode_failure_note(r);
     EXPECT_EQ(f.rm_id, 40u);
     EXPECT_EQ(static_cast<u32>(f.stage), static_cast<u32>(r.flags));
   }
